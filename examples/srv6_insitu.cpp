@@ -40,8 +40,9 @@ int main() {
               timing->compile_ms, timing->load_ms);
   std::printf("Header types after:  srh registered? %s, ipv6 --tag 43--> %s\n",
               device.headers().Has("srh") ? "yes" : "no",
-              (*device.headers().Get("ipv6"))->NextFor(43)
-                  .value_or("<none>")
+              std::string((*device.headers().Get("ipv6"))
+                              ->NextNameFor(43)
+                              .value_or("<none>"))
                   .c_str());
   if (!controller::PopulateSrv6(controller.api(), add, config).ok()) {
     std::fprintf(stderr, "srv6 populate failed\n");

@@ -155,8 +155,7 @@ Status ExecuteOne(const ActionOp& op, const EvalEnv& env) {
       }
       IPSA_RETURN_IF_ERROR(ctx.packet().InsertBytes(at, size));
       ctx.phv().ShiftOffsets(at, static_cast<int32_t>(size));
-      ctx.phv().Add(HeaderInstance{.type_name = op.instance,
-                                   .name = op.instance,
+      ctx.phv().Add(HeaderInstance{.id = type->id(),
                                    .byte_offset = at,
                                    .size_bytes = size,
                                    .valid = true,
@@ -172,7 +171,7 @@ Status ExecuteOne(const ActionOp& op, const EvalEnv& env) {
       uint32_t at = h->byte_offset;
       uint32_t size = h->size_bytes;
       IPSA_RETURN_IF_ERROR(ctx.packet().RemoveBytes(at, size));
-      IPSA_RETURN_IF_ERROR(ctx.phv().RemoveInstance(op.instance));
+      ctx.phv().RemoveInstance(h);
       ctx.phv().ShiftOffsets(at + 1, -static_cast<int32_t>(size));
       return OkStatus();
     }

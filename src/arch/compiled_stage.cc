@@ -34,18 +34,29 @@ struct Compiler {
       return out;
     }
     // Instance name == type name throughout (the parse engine and push ops
-    // both create instances named after their type), so the field's bit
-    // range can be fixed now. A registry mutation bumps the config epoch and
-    // forces a recompile, so the span cannot go stale.
+    // both create instances named after their type), so the instance's id
+    // and the field's bit range can be fixed now. A registry mutation bumps
+    // the config epoch and forces a recompile, so neither can go stale.
     out.is_meta = false;
-    out.instance = ref.instance;
     IPSA_ASSIGN_OR_RETURN(const HeaderTypeDef* type,
                           registry->Get(ref.instance));
     IPSA_ASSIGN_OR_RETURN(HeaderTypeDef::FieldSpan span,
                           type->FieldSpanOf(ref.field));
+    out.instance = type->id();
     out.offset_bits = span.offset_bits;
     out.width_bits = span.width_bits;
     return out;
+  }
+
+  // An instance named by an op or raw access. It need not be registered
+  // (the op then fails per packet, as in the interpreter), but the registry
+  // must know the name so the error can spell it.
+  Result<HeaderId> Instance(const std::string& name) const {
+    HeaderId id = registry->IdOf(name);
+    if (id == kNoHeader) {
+      return NotFound("header instance '" + name + "' is unknown");
+    }
+    return id;
   }
 
   // `params` is the enclosing action's parameter list (null for guards).
@@ -64,7 +75,7 @@ struct Compiler {
         break;
       }
       case Expr::Kind::kRaw: {
-        out->name = e.name();
+        IPSA_ASSIGN_OR_RETURN(out->instance, Instance(e.name()));
         out->raw_width = e.raw_width();
         IPSA_ASSIGN_OR_RETURN(out->lhs, Compile(*e.lhs(), action));
         out->wide = out->raw_width > 64 || out->lhs->wide;
@@ -93,13 +104,14 @@ struct Compiler {
       }
       case Expr::Kind::kRegister: {
         uses_registers = true;
-        out->name = e.name();
+        out->reg = e.name();
         IPSA_ASSIGN_OR_RETURN(out->lhs, Compile(*e.lhs(), action));
         out->wide = out->lhs->wide;
         break;
       }
       case Expr::Kind::kIsValid:
-        out->name = e.name();
+        // An unknown name is kNoHeader, which no PHV holds: never valid.
+        out->instance = registry->IdOf(e.name());
         break;
       case Expr::Kind::kUnary: {
         IPSA_ASSIGN_OR_RETURN(out->lhs, Compile(*e.lhs(), action));
@@ -132,27 +144,29 @@ struct Compiler {
           break;
         }
         case ActionOp::Kind::kAssignRaw: {
-          c.instance = op.instance;
+          IPSA_ASSIGN_OR_RETURN(c.instance, Instance(op.instance));
           c.raw_width = op.raw_width;
           IPSA_ASSIGN_OR_RETURN(c.offset, Compile(*op.raw_offset, action));
           IPSA_ASSIGN_OR_RETURN(c.value, Compile(*op.value, action));
           break;
         }
         case ActionOp::Kind::kPushHeader: {
-          c.instance = op.instance;
-          c.after_instance = op.after_instance;
-          IPSA_ASSIGN_OR_RETURN(const HeaderTypeDef* type,
-                                registry->Get(op.instance));
-          c.push_fixed_size = type->fixed_size_bytes();
+          IPSA_ASSIGN_OR_RETURN(c.push_def, registry->Get(op.instance));
+          c.instance = c.push_def->id();
+          if (!op.after_instance.empty()) {
+            IPSA_ASSIGN_OR_RETURN(c.after_instance,
+                                  Instance(op.after_instance));
+          }
           if (op.push_size_bytes != nullptr) {
             IPSA_ASSIGN_OR_RETURN(c.push_size,
                                   Compile(*op.push_size_bytes, action));
           }
           break;
         }
-        case ActionOp::Kind::kPopHeader:
-          c.instance = op.instance;
+        case ActionOp::Kind::kPopHeader: {
+          IPSA_ASSIGN_OR_RETURN(c.instance, Instance(op.instance));
           break;
+        }
         case ActionOp::Kind::kDrop: {
           IPSA_ASSIGN_OR_RETURN(c.dest, Field(FieldRef::Meta("drop")));
           break;
@@ -180,9 +194,9 @@ struct Compiler {
           break;
         }
         case ActionOp::Kind::kUpdateChecksum: {
-          c.instance = op.instance;
           IPSA_ASSIGN_OR_RETURN(
               c.dest, Field(FieldRef::Header(op.instance, op.checksum_field)));
+          c.instance = c.dest.instance;
           break;
         }
       }
@@ -206,18 +220,21 @@ struct Compiler {
 
 mem::BitString MakeBool(bool v) { return mem::BitString(1, v ? 1 : 0); }
 
-Status InvalidInstance(const std::string& name) {
-  return FailedPrecondition("header instance '" + name +
-                            "' is not valid in this packet");
+// The PHV instance `id` if it is valid in this packet, else null. Callers
+// build the error (InvalidInstance) only on the failure path, so the hot
+// path carries no Status.
+const HeaderInstance* FindValid(const PacketContext& ctx, HeaderId id) {
+  const HeaderInstance* h = ctx.phv().Find(id);
+  return h != nullptr && h->valid ? h : nullptr;
 }
 
-Result<const HeaderInstance*> FindValid(PacketContext& ctx,
-                                        const std::string& name) {
-  // `name` lives in the compiled stage (stable for the config epoch), so
-  // the per-context memo applies.
-  const HeaderInstance* h = ctx.FindInstanceFast(name);
-  if (h == nullptr || !h->valid) return InvalidInstance(name);
-  return h;
+const std::string& NameOf(const PacketContext& ctx, HeaderId id) {
+  return ctx.registry().NameOf(id);
+}
+
+Status InvalidInstance(const PacketContext& ctx, HeaderId id) {
+  return FailedPrecondition("header instance '" + NameOf(ctx, id) +
+                            "' is not valid in this packet");
 }
 
 Result<mem::BitString> ReadCompiledField(const CompiledField& f,
@@ -225,7 +242,8 @@ Result<mem::BitString> ReadCompiledField(const CompiledField& f,
   if (f.is_meta) {
     return ctx.metadata().SlotRead(f.meta_slot);
   }
-  IPSA_ASSIGN_OR_RETURN(const HeaderInstance* h, FindValid(ctx, f.instance));
+  const HeaderInstance* h = FindValid(ctx, f.instance);
+  if (h == nullptr) return InvalidInstance(ctx, f.instance);
   return ReadWireBits(ctx.packet().bytes(),
                       static_cast<size_t>(h->byte_offset) * 8 + f.offset_bits,
                       f.width_bits);
@@ -237,7 +255,8 @@ Status WriteCompiledField(const CompiledField& f, PacketContext& ctx,
     ctx.metadata().SlotWrite(f.meta_slot, v);
     return OkStatus();
   }
-  IPSA_ASSIGN_OR_RETURN(const HeaderInstance* h, FindValid(ctx, f.instance));
+  const HeaderInstance* h = FindValid(ctx, f.instance);
+  if (h == nullptr) return InvalidInstance(ctx, f.instance);
   WriteWireBits(ctx.packet().bytes(),
                 static_cast<size_t>(h->byte_offset) * 8 + f.offset_bits,
                 f.width_bits, v);
@@ -245,17 +264,18 @@ Status WriteCompiledField(const CompiledField& f, PacketContext& ctx,
 }
 
 // Scalar-lane variant: `v` is masked to <= 64 bits and the destination is at
-// most 64 bits wide. Metadata writes zero the slot then set its low bits
-// (SlotWriteUint), which equals SlotWrite's truncate/zero-extend assignment;
-// wire writes mask the value at the field width, which equals WriteWireBits
-// reading missing high bits as zero.
+// most 64 bits wide. Metadata writes store the value masked to the slot
+// width (a narrow slot), which equals SlotWrite's truncate/zero-extend
+// assignment; wire writes mask the value at the field width, which equals
+// WriteWireBits reading missing high bits as zero.
 Status WriteCompiledFieldScalar(const CompiledField& f, PacketContext& ctx,
                                 uint64_t v) {
   if (f.is_meta) {
-    ctx.metadata().SlotWriteUint(f.meta_slot, v);
+    ctx.metadata().NarrowWrite(f.meta_slot, v);
     return OkStatus();
   }
-  IPSA_ASSIGN_OR_RETURN(const HeaderInstance* h, FindValid(ctx, f.instance));
+  const HeaderInstance* h = FindValid(ctx, f.instance);
+  if (h == nullptr) return InvalidInstance(ctx, f.instance);
   WriteWire64(ctx.packet().bytes(),
               static_cast<size_t>(h->byte_offset) * 8 + f.offset_bits,
               f.width_bits, v);
@@ -279,7 +299,9 @@ Result<mem::BitString> EvalCompiled(const CompiledExpr& e,
       return ReadCompiledField(e.field, *env.ctx);
     case Expr::Kind::kRaw: {
       IPSA_ASSIGN_OR_RETURN(mem::BitString off, EvalCompiled(*e.lhs, env));
-      return env.ctx->ReadRaw(e.name, static_cast<uint32_t>(off.ToUint64()),
+      const HeaderInstance* h = FindValid(*env.ctx, e.instance);
+      if (h == nullptr) return InvalidInstance(*env.ctx, e.instance);
+      return env.ctx->ReadRaw(*h, static_cast<uint32_t>(off.ToUint64()),
                               e.raw_width);
     }
     case Expr::Kind::kParam: {
@@ -300,13 +322,11 @@ Result<mem::BitString> EvalCompiled(const CompiledExpr& e,
       IPSA_ASSIGN_OR_RETURN(mem::BitString idx, EvalCompiled(*e.lhs, env));
       IPSA_ASSIGN_OR_RETURN(
           uint64_t v,
-          env.regs->Read(e.name, static_cast<size_t>(idx.ToUint64())));
+          env.regs->Read(e.reg, static_cast<size_t>(idx.ToUint64())));
       return mem::BitString(64, v);
     }
-    case Expr::Kind::kIsValid: {
-      const HeaderInstance* h = env.ctx->FindInstanceFast(e.name);
-      return MakeBool(h != nullptr && h->valid);
-    }
+    case Expr::Kind::kIsValid:
+      return MakeBool(FindValid(*env.ctx, e.instance) != nullptr);
     case Expr::Kind::kUnary: {
       IPSA_ASSIGN_OR_RETURN(mem::BitString a, EvalCompiled(*e.lhs, env));
       return EvalUnaryKernel(e.op, a);
@@ -359,11 +379,11 @@ Result<Scalar> EvalScalar(const CompiledExpr& e, const CompiledEnv& env) {
     case Expr::Kind::kField: {
       const CompiledField& f = e.field;
       if (f.is_meta) {
-        return Scalar{env.ctx->metadata().SlotReadUint(f.meta_slot),
+        return Scalar{env.ctx->metadata().NarrowRead(f.meta_slot),
                       f.width_bits};
       }
-      IPSA_ASSIGN_OR_RETURN(const HeaderInstance* h,
-                            FindValid(*env.ctx, f.instance));
+      const HeaderInstance* h = FindValid(*env.ctx, f.instance);
+      if (h == nullptr) return InvalidInstance(*env.ctx, f.instance);
       return Scalar{
           ReadWire64(env.ctx->packet().bytes(),
                      static_cast<size_t>(h->byte_offset) * 8 + f.offset_bits,
@@ -373,7 +393,8 @@ Result<Scalar> EvalScalar(const CompiledExpr& e, const CompiledEnv& env) {
     case Expr::Kind::kRaw: {
       IPSA_ASSIGN_OR_RETURN(Scalar off, EvalScalar(*e.lhs, env));
       PacketContext& ctx = *env.ctx;
-      IPSA_ASSIGN_OR_RETURN(const HeaderInstance* h, FindValid(ctx, e.name));
+      const HeaderInstance* h = FindValid(ctx, e.instance);
+      if (h == nullptr) return InvalidInstance(ctx, e.instance);
       size_t abs = static_cast<size_t>(h->byte_offset) * 8 +
                    static_cast<uint32_t>(off.v);
       if (abs + e.raw_width > ctx.packet().size() * 8) {
@@ -398,13 +419,11 @@ Result<Scalar> EvalScalar(const CompiledExpr& e, const CompiledEnv& env) {
       }
       IPSA_ASSIGN_OR_RETURN(Scalar idx, EvalScalar(*e.lhs, env));
       IPSA_ASSIGN_OR_RETURN(uint64_t v,
-                            env.regs->Read(e.name, static_cast<size_t>(idx.v)));
+                            env.regs->Read(e.reg, static_cast<size_t>(idx.v)));
       return Scalar{v, 64};
     }
-    case Expr::Kind::kIsValid: {
-      const HeaderInstance* h = env.ctx->FindInstanceFast(e.name);
-      return ScalarBool(h != nullptr && h->valid);
-    }
+    case Expr::Kind::kIsValid:
+      return ScalarBool(FindValid(*env.ctx, e.instance) != nullptr);
     case Expr::Kind::kUnary: {
       IPSA_ASSIGN_OR_RETURN(Scalar a, EvalScalar(*e.lhs, env));
       if (e.op == Expr::Op::kNot) return ScalarBool(a.v == 0);
@@ -543,42 +562,44 @@ Status RunCompiledOp(const CompiledOp& op, const CompiledEnv& env) {
         off_v = static_cast<uint32_t>(off.ToUint64());
       }
       IPSA_ASSIGN_OR_RETURN(mem::BitString v, EvalCompiled(*op.value, env));
-      return ctx.WriteRaw(op.instance, off_v, op.raw_width, v);
+      const HeaderInstance* h = FindValid(ctx, op.instance);
+      if (h == nullptr) return InvalidInstance(ctx, op.instance);
+      return ctx.WriteRaw(*h, off_v, op.raw_width, v);
     }
     case ActionOp::Kind::kPushHeader: {
-      uint32_t size = op.push_fixed_size;
+      uint32_t size = op.push_def->fixed_size_bytes();
       if (op.push_size != nullptr) {
         IPSA_ASSIGN_OR_RETURN(mem::BitString s, EvalCompiled(*op.push_size, env));
         size = static_cast<uint32_t>(s.ToUint64());
       }
       uint32_t at = 0;
-      if (!op.after_instance.empty()) {
-        const HeaderInstance* after = ctx.FindInstanceFast(op.after_instance);
-        if (after == nullptr || !after->valid) {
+      if (op.after_instance != kNoHeader) {
+        const HeaderInstance* after = FindValid(ctx, op.after_instance);
+        if (after == nullptr) {
           return FailedPrecondition("push after invalid instance '" +
-                                    op.after_instance + "'");
+                                    NameOf(ctx, op.after_instance) + "'");
         }
         at = after->byte_offset + after->size_bytes;
       }
       IPSA_RETURN_IF_ERROR(ctx.packet().InsertBytes(at, size));
       ctx.phv().ShiftOffsets(at, static_cast<int32_t>(size));
-      ctx.phv().Add(HeaderInstance{.type_name = op.instance,
-                                   .name = op.instance,
+      ctx.phv().Add(HeaderInstance{.id = op.instance,
                                    .byte_offset = at,
                                    .size_bytes = size,
-                                   .valid = true});
+                                   .valid = true,
+                                   .def = op.push_def});
       return OkStatus();
     }
     case ActionOp::Kind::kPopHeader: {
-      const HeaderInstance* h = ctx.FindInstanceFast(op.instance);
-      if (h == nullptr || !h->valid) {
-        return FailedPrecondition("pop of invalid instance '" + op.instance +
-                                  "'");
+      const HeaderInstance* h = FindValid(ctx, op.instance);
+      if (h == nullptr) {
+        return FailedPrecondition("pop of invalid instance '" +
+                                  NameOf(ctx, op.instance) + "'");
       }
       uint32_t at = h->byte_offset;
       uint32_t size = h->size_bytes;
       IPSA_RETURN_IF_ERROR(ctx.packet().RemoveBytes(at, size));
-      IPSA_RETURN_IF_ERROR(ctx.phv().RemoveInstance(op.instance));
+      ctx.phv().RemoveInstance(h);
       ctx.phv().ShiftOffsets(at + 1, -static_cast<int32_t>(size));
       return OkStatus();
     }
@@ -617,10 +638,10 @@ Status RunCompiledOp(const CompiledOp& op, const CompiledEnv& env) {
       return RunCompiledOps(taken ? op.then_ops : op.else_ops, env);
     }
     case ActionOp::Kind::kUpdateChecksum: {
-      const HeaderInstance* h = ctx.FindInstanceFast(op.instance);
-      if (h == nullptr || !h->valid) {
+      const HeaderInstance* h = FindValid(ctx, op.instance);
+      if (h == nullptr) {
         return FailedPrecondition("update_checksum on invalid instance '" +
-                                  op.instance + "'");
+                                  NameOf(ctx, op.instance) + "'");
       }
       if (op.dest.width_bits <= 64) {
         IPSA_RETURN_IF_ERROR(WriteCompiledFieldScalar(op.dest, ctx, 0));
@@ -646,49 +667,65 @@ Status RunCompiledOps(const std::vector<CompiledOp>& ops,
   return OkStatus();
 }
 
-// Extracts the rule's lookup key into `key` (pre-sized to key_width_bits)
-// through the fused segment plan: every referenced header instance is
-// resolved in the PHV once, then each segment slices one contiguous wire
-// (or metadata) run into place.
+// Extracts the rule's lookup key into `scratch.key` through the fused
+// segment plan: every referenced header instance is resolved in the PHV
+// once, then each segment slices one contiguous wire (or metadata) run into
+// place. The key is assembled in 64-bit words (`scratch.key_words`) and
+// stored with one copy.
 constexpr size_t kMaxKeyInstances = 8;
 
-Status BuildCompiledKey(const CompiledRule& rule, PacketContext& ctx,
-                        mem::BitString& key) {
+Status BuildCompiledKey(const CompiledRule& rule, const PacketContext& ctx,
+                        table::LookupScratch& scratch) {
   // Instances are listed in first-use order, so the first unresolvable one
   // matches the field order the interpreter fails in.
   const HeaderInstance* instances[kMaxKeyInstances];
   const size_t n = rule.key_instances.size();
   if (n <= kMaxKeyInstances) {
     for (size_t i = 0; i < n; ++i) {
-      IPSA_ASSIGN_OR_RETURN(instances[i],
-                            FindValid(ctx, rule.key_instances[i]));
+      instances[i] = FindValid(ctx, rule.key_instances[i]);
+      if (instances[i] == nullptr) {
+        return InvalidInstance(ctx, rule.key_instances[i]);
+      }
     }
   }
+  std::vector<uint64_t>& words = scratch.key_words;
+  words.assign((rule.key_width_bits + 63) / 64, 0);
+  // ORs a run of `c` <= 64 key bits, already masked, into place; a run may
+  // straddle two words.
+  auto put = [&words](size_t at, size_t c, uint64_t v) {
+    size_t shift = at % 64;
+    words[at / 64] |= v << shift;
+    if (shift + c > 64) words[at / 64 + 1] |= v >> (64 - shift);
+  };
+  const Metadata& meta = ctx.metadata();
+  std::span<const uint8_t> wire = ctx.packet().bytes();
   for (const KeySegment& s : rule.key) {
     size_t w = s.width_bits;
     if (s.is_meta) {
-      const mem::BitString& v = ctx.metadata().SlotRead(s.meta_slot);
+      const mem::BitString* wide = meta.WideValue(s.meta_slot);
+      if (wide == nullptr) {
+        put(s.dest_bits, w, meta.NarrowRead(s.meta_slot));
+        continue;
+      }
       for (size_t i = 0; i < w; i += 64) {
         size_t c = std::min<size_t>(64, w - i);
-        key.SetBits(s.dest_bits + i, c, v.GetBits(i, c));
+        put(s.dest_bits + i, c, wide->GetBits(i, c));
       }
       continue;
     }
-    const HeaderInstance* h;
-    if (n <= kMaxKeyInstances) {
-      h = instances[s.instance];
-    } else {
-      IPSA_ASSIGN_OR_RETURN(h, FindValid(ctx, rule.key_instances[s.instance]));
-    }
+    const HeaderId id = rule.key_instances[s.instance];
+    const HeaderInstance* h =
+        n <= kMaxKeyInstances ? instances[s.instance] : FindValid(ctx, id);
+    if (h == nullptr) return InvalidInstance(ctx, id);
     size_t base = static_cast<size_t>(h->byte_offset) * 8 + s.offset_bits;
     // Wire bits land MSB-first within the segment's value, so chunk i of
     // the wire maps to key bits [dest + w-i-c, dest + w-i).
     for (size_t i = 0; i < w; i += 64) {
       size_t c = std::min<size_t>(64, w - i);
-      key.SetBits(s.dest_bits + w - i - c, c,
-                  ReadWire64(ctx.packet().bytes(), base + i, c));
+      put(s.dest_bits + w - i - c, c, ReadWire64(wire, base + i, c));
     }
   }
+  scratch.key.AssignWords(rule.key_width_bits, words.data());
   return OkStatus();
 }
 
@@ -801,6 +838,11 @@ Result<CompiledStage> CompileStage(const StageProgram& stage,
   Compiler c{&catalog, &actions, &registry, &metadata_proto};
   CompiledStage out;
   out.source = &stage;
+  // A parse-set name the registry never saw resolves to kNoHeader, which no
+  // PHV holds — the walk parses to the end of the chain, as by name.
+  for (const std::string& name : stage.parse_set) {
+    out.parse_ids.push_back(registry.IdOf(name));
+  }
 
   for (const MatchRule& rule : stage.matcher) {
     CompiledRule cr;
@@ -845,12 +887,11 @@ Result<StageRunStats> RunCompiledStage(const CompiledStage& stage,
                                        PacketContext& ctx, RegisterFile* regs,
                                        bool jit_parse, bool fill_names) {
   StageRunStats stats;
-  const StageProgram& src = *stage.source;
 
   // 1. Parser sub-module (same engine as the interpreter).
-  if (jit_parse && !src.parse_set.empty()) {
+  if (jit_parse && !stage.parse_ids.empty()) {
     IPSA_ASSIGN_OR_RETURN(ParseStats ps,
-                          ParseEngine::ParseUntil(ctx, src.parse_set));
+                          ParseEngine::ParseUntil(ctx, stage.parse_ids));
     stats.parse_cycles = ps.cycles;
     stats.parse_bytes = ps.bytes_parsed;
   }
@@ -878,8 +919,7 @@ Result<StageRunStats> RunCompiledStage(const CompiledStage& stage,
   const mem::BitString* action_data = &kNoArgs;
   if (chosen != nullptr) {
     table::LookupScratch& scratch = ctx.lookup_scratch();
-    scratch.key.Resize(chosen->key_width_bits);
-    IPSA_RETURN_IF_ERROR(BuildCompiledKey(*chosen, ctx, scratch.key));
+    IPSA_RETURN_IF_ERROR(BuildCompiledKey(*chosen, ctx, scratch));
     table::LookupResult& result = scratch.result;
     chosen->table->LookupInto(scratch.key, result);
     chosen->table->CountLookup(result.hit);

@@ -10,7 +10,8 @@
 //   * table names        -> table::MatchTable* + a key-extraction plan
 //   * action names       -> const ActionDef* + a compiled op list
 //   * metadata fields    -> interned slot indices (Metadata::SlotOf)
-//   * header fields      -> (instance, bit offset, width) triples
+//   * header instances   -> HeaderIds (HeaderRegistry), parse sets included
+//   * header fields      -> (instance id, bit offset, width) triples
 //   * action parameters  -> bit ranges within the entry's action_data
 //
 // RunCompiledStage charges exactly the cycles RunStage charges and produces
@@ -34,15 +35,15 @@
 
 namespace ipsa::arch {
 
-// A FieldRef resolved to its physical location. Header instances are still
-// found by name in the PHV (a linear scan over the few parsed headers — the
-// instance's byte offset is per-packet state), but the field's bit range
-// within the header is fixed here.
+// A FieldRef resolved to its physical location. The header instance is
+// found by id in the PHV (an integer scan over the few parsed headers — the
+// instance's byte offset is per-packet state); the field's bit range within
+// the header is fixed here.
 struct CompiledField {
   bool is_meta = false;
-  int meta_slot = -1;       // metadata slot (is_meta)
-  std::string instance;     // header instance name (!is_meta)
-  uint32_t offset_bits = 0; // bit offset within the header (!is_meta)
+  int meta_slot = -1;              // metadata slot (is_meta)
+  HeaderId instance = kNoHeader;   // header instance (!is_meta)
+  uint32_t offset_bits = 0;        // bit offset within the header (!is_meta)
   uint32_t width_bits = 0;
 };
 
@@ -56,7 +57,8 @@ struct CompiledExpr {
   Expr::Op op = Expr::Op::kNone;
   mem::BitString constant;    // kConst
   CompiledField field;        // kField
-  std::string name;           // kRaw / kIsValid instance, kRegister array
+  HeaderId instance = kNoHeader;  // kRaw / kIsValid
+  std::string reg;            // kRegister array
   uint32_t raw_width = 0;     // kRaw
   uint32_t param_offset = 0;  // kParam: bit range within action_data
   uint32_t param_width = 0;
@@ -75,11 +77,11 @@ struct CompiledOp {
   ActionOp::Kind kind = ActionOp::Kind::kNoop;
   CompiledField dest;            // kAssign / kDrop / kMark / kForward /
                                  // kUpdateChecksum (the written field)
-  std::string instance;          // kAssignRaw/kPush/kPop/kUpdateChecksum
-  std::string after_instance;    // kPushHeader
+  HeaderId instance = kNoHeader;  // kAssignRaw/kPush/kPop/kUpdateChecksum
+  HeaderId after_instance = kNoHeader;  // kPushHeader (kNoHeader: front)
+  const HeaderTypeDef* push_def = nullptr;  // kPushHeader: the pushed type
   std::string reg;               // kRegWrite
   uint32_t raw_width = 0;        // kAssignRaw
-  uint32_t push_fixed_size = 0;  // kPushHeader: the type's fixed byte size
   CompiledExprPtr value;         // kAssign/kAssignRaw/kForward/kRegWrite
   CompiledExprPtr offset;        // kAssignRaw
   CompiledExprPtr index;         // kRegWrite
@@ -114,13 +116,14 @@ struct CompiledRule {
   CompiledExprPtr guard;           // null = unconditional
   bool has_table = false;          // false = explicit "no table" branch
   table::MatchTable* table = nullptr;
-  std::vector<std::string> key_instances;  // unique instances, first-use order
+  std::vector<HeaderId> key_instances;  // unique instances, first-use order
   std::vector<KeySegment> key;     // fused extraction plan
   uint32_t key_width_bits = 0;
 };
 
 struct CompiledStage {
-  const StageProgram* source = nullptr;  // parse_set + trace names
+  const StageProgram* source = nullptr;  // trace names
+  std::vector<HeaderId> parse_ids;       // source->parse_set, resolved
   std::vector<CompiledRule> rules;
   std::vector<uint32_t> branch_tags;           // sorted ascending
   std::vector<CompiledAction> branch_actions;  // parallel to branch_tags
@@ -142,8 +145,8 @@ Result<CompiledStage> CompileStage(const StageProgram& stage,
 
 // Executes a compiled stage. Semantics and cycle accounting are identical
 // to RunStage on the source program. `fill_names` controls whether the
-// stats' applied_table / executed_action strings are populated (they
-// allocate; pass true only when tracing).
+// stats' applied_table / executed_action views are set (only tracing reads
+// them).
 Result<StageRunStats> RunCompiledStage(const CompiledStage& stage,
                                        PacketContext& ctx, RegisterFile* regs,
                                        bool jit_parse, bool fill_names);

@@ -1,6 +1,8 @@
 #include "arch/context.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 namespace ipsa::arch {
 
@@ -45,13 +47,42 @@ Status RegisterFile::Write(std::string_view name, size_t index,
   return OkStatus();
 }
 
+namespace {
+
+// Loads 8 wire bytes at `p` as a big-endian integer (first byte most
+// significant).
+inline uint64_t LoadBe64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+inline void StoreBe64(uint8_t* p, uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, 8);
+}
+
+}  // namespace
+
 uint64_t ReadWire64(std::span<const uint8_t> bytes, size_t bit_offset,
                     size_t width) {
   if (width == 0) return 0;
-  // Load the covered bytes (at most 9 for width <= 64) big-endian, then
-  // shift the field's trailing bits away. The first wire bit ends up as the
-  // value's MSB, matching the MSB-first field convention.
   size_t first = bit_offset / 8;
+  size_t lead = bit_offset % 8;
+  // Common case: the field and its leading bits fit one 8-byte load that
+  // stays inside the packet. The first wire bit ends up as the value's MSB,
+  // matching the MSB-first field convention.
+  if (lead + width <= 64 && first + 8 <= bytes.size()) {
+    uint64_t v = LoadBe64(bytes.data() + first) << lead;
+    return v >> (64 - width);
+  }
+  // Otherwise load the covered bytes (at most 9 for width <= 64)
+  // big-endian, then shift the field's trailing bits away.
   size_t last = (bit_offset + width - 1) / 8;
   unsigned __int128 acc = 0;
   for (size_t b = first; b <= last; ++b) {
@@ -66,6 +97,18 @@ void WriteWire64(std::span<uint8_t> bytes, size_t bit_offset, size_t width,
                  uint64_t value) {
   if (width == 0) return;
   size_t first = bit_offset / 8;
+  size_t lead = bit_offset % 8;
+  if (lead + width <= 64 && first + 8 <= bytes.size()) {
+    // Same single 8-byte window as ReadWire64: read, splice, write back.
+    size_t tail = 64 - lead - width;
+    uint64_t mask = (width >= 64 ? ~uint64_t{0}
+                                 : (uint64_t{1} << width) - 1)
+                    << tail;
+    uint8_t* p = bytes.data() + first;
+    uint64_t v = LoadBe64(p);
+    StoreBe64(p, (v & ~mask) | ((value << tail) & mask));
+    return;
+  }
   size_t last = (bit_offset + width - 1) / 8;
   size_t tail = (last + 1) * 8 - (bit_offset + width);
   unsigned __int128 mask = width >= 64
@@ -121,10 +164,8 @@ Result<mem::BitString> PacketContext::ReadField(const FieldRef& ref) const {
     return metadata_.Read(ref.field);
   }
   IPSA_ASSIGN_OR_RETURN(const HeaderInstance* h, ValidInstance(ref.instance));
-  IPSA_ASSIGN_OR_RETURN(const HeaderTypeDef* type,
-                        registry_->Get(h->type_name));
   IPSA_ASSIGN_OR_RETURN(HeaderTypeDef::FieldSpan span,
-                        type->FieldSpanOf(ref.field));
+                        h->def->FieldSpanOf(ref.field));
   return ReadWireBits(packet_->bytes(),
                       static_cast<size_t>(h->byte_offset) * 8 + span.offset_bits,
                       span.width_bits);
@@ -136,10 +177,8 @@ Status PacketContext::WriteField(const FieldRef& ref,
     return metadata_.Write(ref.field, value);
   }
   IPSA_ASSIGN_OR_RETURN(const HeaderInstance* h, ValidInstance(ref.instance));
-  IPSA_ASSIGN_OR_RETURN(const HeaderTypeDef* type,
-                        registry_->Get(h->type_name));
   IPSA_ASSIGN_OR_RETURN(HeaderTypeDef::FieldSpan span,
-                        type->FieldSpanOf(ref.field));
+                        h->def->FieldSpanOf(ref.field));
   WriteWireBits(packet_->bytes(),
                 static_cast<size_t>(h->byte_offset) * 8 + span.offset_bits,
                 span.width_bits, value);
@@ -150,17 +189,28 @@ Result<mem::BitString> PacketContext::ReadRaw(std::string_view instance,
                                               uint32_t bit_offset,
                                               uint32_t width) const {
   IPSA_ASSIGN_OR_RETURN(const HeaderInstance* h, ValidInstance(instance));
-  size_t abs = static_cast<size_t>(h->byte_offset) * 8 + bit_offset;
+  return ReadRaw(*h, bit_offset, width);
+}
+
+Status PacketContext::WriteRaw(std::string_view instance, uint32_t bit_offset,
+                               uint32_t width, const mem::BitString& value) {
+  IPSA_ASSIGN_OR_RETURN(const HeaderInstance* h, ValidInstance(instance));
+  return WriteRaw(*h, bit_offset, width, value);
+}
+
+Result<mem::BitString> PacketContext::ReadRaw(const HeaderInstance& h,
+                                              uint32_t bit_offset,
+                                              uint32_t width) const {
+  size_t abs = static_cast<size_t>(h.byte_offset) * 8 + bit_offset;
   if (abs + width > packet_->size() * 8) {
     return OutOfRange("raw read beyond packet end");
   }
   return ReadWireBits(packet_->bytes(), abs, width);
 }
 
-Status PacketContext::WriteRaw(std::string_view instance, uint32_t bit_offset,
+Status PacketContext::WriteRaw(const HeaderInstance& h, uint32_t bit_offset,
                                uint32_t width, const mem::BitString& value) {
-  IPSA_ASSIGN_OR_RETURN(const HeaderInstance* h, ValidInstance(instance));
-  size_t abs = static_cast<size_t>(h->byte_offset) * 8 + bit_offset;
+  size_t abs = static_cast<size_t>(h.byte_offset) * 8 + bit_offset;
   if (abs + width > packet_->size() * 8) {
     return OutOfRange("raw write beyond packet end");
   }

@@ -112,6 +112,11 @@ class PacketContext {
                                  uint32_t bit_offset, uint32_t width) const;
   Status WriteRaw(std::string_view instance, uint32_t bit_offset,
                   uint32_t width, const mem::BitString& value);
+  // The same on an instance the caller already resolved (compiled stages).
+  Result<mem::BitString> ReadRaw(const HeaderInstance& h, uint32_t bit_offset,
+                                 uint32_t width) const;
+  Status WriteRaw(const HeaderInstance& h, uint32_t bit_offset,
+                  uint32_t width, const mem::BitString& value);
 
   // Cycle accounting for the hardware model.
   void ChargeCycles(uint64_t n) { cycles_ += n; }
@@ -122,32 +127,6 @@ class PacketContext {
   // path allocates nothing in steady state.
   table::LookupScratch& lookup_scratch() { return lookup_scratch_; }
 
-  // Phv::Find with a tiny per-context memo, keyed by the *address* of the
-  // name string and stamped with the PHV generation. Compiled stages and
-  // plans resolve the same handful of instance-name strings (stable objects
-  // for a whole config epoch) on every field access; the memo turns the
-  // repeat resolutions into a pointer compare. Any PHV mutation bumps the
-  // generation and naturally invalidates every entry, as does Rebind (via
-  // Phv::Clear). Callers must pass a string whose address outlives the
-  // current packet's processing — compiled structures qualify.
-  const HeaderInstance* FindInstanceFast(const std::string& name) const {
-    const uint32_t gen = phv_.generation();
-    for (const InstanceCacheEntry& e : icache_) {
-      if (e.name == &name && e.gen == gen) {
-        return &phv_.instances()[e.index];
-      }
-    }
-    const std::vector<HeaderInstance>& v = phv_.instances();
-    for (uint32_t i = 0; i < v.size(); ++i) {
-      if (v[i].name == name) {
-        icache_[icache_next_] = {&name, gen, i};
-        icache_next_ = (icache_next_ + 1) % kInstanceCacheSlots;
-        return &v[i];
-      }
-    }
-    return nullptr;
-  }
-
  private:
   Result<const HeaderInstance*> ValidInstance(std::string_view name) const;
 
@@ -157,15 +136,6 @@ class PacketContext {
   Metadata metadata_;
   uint64_t cycles_ = 0;
   table::LookupScratch lookup_scratch_;
-
-  static constexpr size_t kInstanceCacheSlots = 8;
-  struct InstanceCacheEntry {
-    const std::string* name = nullptr;
-    uint32_t gen = 0;
-    uint32_t index = 0;
-  };
-  mutable InstanceCacheEntry icache_[kInstanceCacheSlots] = {};
-  mutable size_t icache_next_ = 0;
 };
 
 // Wire <-> value conversion helpers (MSB-first bit ranges).

@@ -24,54 +24,98 @@ Result<HeaderTypeDef::FieldSpan> HeaderTypeDef::FieldSpanOf(
   return it->second;
 }
 
+void HeaderTypeDef::SetLink(uint64_t tag, std::string next_header) {
+  links_[tag] = std::move(next_header);
+  // Unresolved until a registry interns the target.
+  auto it = std::lower_bound(
+      next_.begin(), next_.end(), tag,
+      [](const ResolvedLink& l, uint64_t t) { return l.tag < t; });
+  if (it != next_.end() && it->tag == tag) {
+    it->id = kNoHeader;
+  } else {
+    next_.insert(it, ResolvedLink{tag, kNoHeader});
+  }
+}
+
 Status HeaderTypeDef::RemoveLink(uint64_t tag) {
   if (links_.erase(tag) == 0) {
     return NotFound("header '" + name_ + "' has no link for tag " +
                     std::to_string(tag));
   }
+  std::erase_if(next_, [tag](const ResolvedLink& l) { return l.tag == tag; });
   return OkStatus();
 }
 
-std::optional<std::string> HeaderTypeDef::NextFor(uint64_t tag) const {
+std::optional<std::string_view> HeaderTypeDef::NextNameFor(
+    uint64_t tag) const {
   auto it = links_.find(tag);
   if (it == links_.end()) return std::nullopt;
-  return it->second;
+  return std::string_view(it->second);
+}
+
+HeaderRegistry::HeaderRegistry() { entry_id_ = Intern("ethernet"); }
+
+HeaderId HeaderRegistry::Intern(std::string_view name) {
+  auto it = ids_.find(name);
+  if (it != ids_.end()) return it->second;
+  HeaderId id = static_cast<HeaderId>(slots_.size());
+  slots_.push_back(Slot{std::string(name), std::nullopt});
+  ids_.emplace(std::string(name), id);
+  return id;
+}
+
+const std::string& HeaderRegistry::NameOf(HeaderId id) const {
+  static const std::string kUnknown = "<unknown>";
+  return id < slots_.size() ? slots_[id].name : kUnknown;
+}
+
+void HeaderRegistry::ResolveLinks(HeaderTypeDef& def) {
+  for (HeaderTypeDef::ResolvedLink& l : def.next_) {
+    l.id = Intern(def.links_.at(l.tag));
+  }
+}
+
+void HeaderRegistry::SetEntryType(std::string name) {
+  entry_id_ = Intern(name);
 }
 
 Status HeaderRegistry::Add(HeaderTypeDef def) {
-  auto [it, inserted] = types_.emplace(def.name(), std::move(def));
-  (void)it;
-  if (!inserted) {
+  HeaderId id = Intern(def.name());
+  Slot& slot = slots_[id];
+  if (slot.def.has_value()) {
     return AlreadyExists("header type already registered");
   }
+  def.id_ = id;
+  ResolveLinks(def);
+  slot.def.emplace(std::move(def));
   ++version_;
   return OkStatus();
 }
 
 Status HeaderRegistry::Remove(std::string_view name) {
-  auto it = types_.find(name);
-  if (it == types_.end()) {
+  HeaderId id = IdOf(name);
+  if (Find(id) == nullptr) {
     return NotFound("header type '" + std::string(name) + "' not registered");
   }
-  types_.erase(it);
+  slots_[id].def.reset();
   ++version_;
   return OkStatus();
 }
 
 Result<const HeaderTypeDef*> HeaderRegistry::Get(std::string_view name) const {
-  auto it = types_.find(name);
-  if (it == types_.end()) {
+  const HeaderTypeDef* def = Find(IdOf(name));
+  if (def == nullptr) {
     return NotFound("header type '" + std::string(name) + "' not registered");
   }
-  return &it->second;
+  return def;
 }
 
 Result<HeaderTypeDef*> HeaderRegistry::GetMutable(std::string_view name) {
-  auto it = types_.find(name);
-  if (it == types_.end()) {
+  HeaderId id = IdOf(name);
+  if (Find(id) == nullptr) {
     return NotFound("header type '" + std::string(name) + "' not registered");
   }
-  return &it->second;
+  return &*slots_[id].def;
 }
 
 Status HeaderRegistry::LinkHeader(std::string_view pre, std::string_view next,
@@ -81,6 +125,7 @@ Status HeaderRegistry::LinkHeader(std::string_view pre, std::string_view next,
   }
   IPSA_ASSIGN_OR_RETURN(HeaderTypeDef * def, GetMutable(pre));
   def->SetLink(tag, std::string(next));
+  ResolveLinks(*def);
   ++version_;
   return OkStatus();
 }
@@ -94,8 +139,9 @@ Status HeaderRegistry::UnlinkHeader(std::string_view pre, uint64_t tag) {
 
 std::vector<std::string> HeaderRegistry::TypeNames() const {
   std::vector<std::string> out;
-  out.reserve(types_.size());
-  for (const auto& [name, def] : types_) out.push_back(name);
+  for (const Slot& slot : slots_) {
+    if (slot.def.has_value()) out.push_back(slot.name);
+  }
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -8,12 +8,19 @@
 // The linkage is mutable at runtime: the controller's
 // `link_header --pre IPv6 --next SRH --tag 43` command (Fig. 5c) edits this
 // registry on the live device, which is what lets SRv6 be loaded in-situ.
+//
+// Names are for configuration; packets use ids. The registry interns every
+// header type name it sees (registered types and link targets) to a dense
+// HeaderId and resolves each registered type's links to those ids, so the
+// parse chain, the PHV and compiled stages never hash or compare a name.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -21,6 +28,12 @@
 #include "util/status.h"
 
 namespace ipsa::arch {
+
+// Dense per-registry id of a header type (== of the instance named after
+// it). Ids are never reused or renumbered within a registry, so one stays
+// valid across Remove/Add of the same name.
+using HeaderId = uint32_t;
+inline constexpr HeaderId kNoHeader = ~HeaderId{0};
 
 struct FieldDef {
   std::string name;
@@ -55,6 +68,9 @@ class HeaderTypeDef {
   }
 
   const std::string& name() const { return name_; }
+  // This type's id in the registry holding it (kNoHeader for a standalone
+  // definition).
+  HeaderId id() const { return id_; }
   const std::vector<FieldDef>& fields() const { return fields_; }
   uint32_t total_bits() const { return total_bits_; }
   uint32_t fixed_size_bytes() const { return (total_bits_ + 7) / 8; }
@@ -84,11 +100,20 @@ class HeaderTypeDef {
   const std::optional<FieldSpan>& selector_span() const {
     return selector_span_;
   }
-  void SetLink(uint64_t tag, std::string next_header) {
-    links_[tag] = std::move(next_header);
-  }
+  // Links are set by name; the registry resolves them to ids when the
+  // definition is added (and on LinkHeader/UnlinkHeader).
+  void SetLink(uint64_t tag, std::string next_header);
   Status RemoveLink(uint64_t tag);
-  std::optional<std::string> NextFor(uint64_t tag) const;
+  // The successor type for a selector tag, or kNoHeader when the tag has no
+  // link (the chain ends). The per-packet parse step: a scan of a few ints.
+  HeaderId NextFor(uint64_t tag) const {
+    for (const ResolvedLink& l : next_) {
+      if (l.tag == tag) return l.id;
+    }
+    return kNoHeader;
+  }
+  // The successor's name (configuration and tests).
+  std::optional<std::string_view> NextNameFor(uint64_t tag) const;
   const std::map<uint64_t, std::string>& links() const { return links_; }
 
   // Variable size.
@@ -106,7 +131,15 @@ class HeaderTypeDef {
   }
 
  private:
+  friend class HeaderRegistry;
+
+  struct ResolvedLink {
+    uint64_t tag = 0;
+    HeaderId id = kNoHeader;
+  };
+
   std::string name_;
+  HeaderId id_ = kNoHeader;
   std::vector<FieldDef> fields_;
   std::unordered_map<std::string, FieldSpan, util::StringHash,
                      std::equal_to<>>
@@ -115,6 +148,7 @@ class HeaderTypeDef {
   std::optional<std::string> selector_field_;
   std::optional<FieldSpan> selector_span_;
   std::map<uint64_t, std::string> links_;
+  std::vector<ResolvedLink> next_;  // links_ with ids, in tag order
   std::optional<VarSizeRule> var_size_;
   std::optional<FieldSpan> var_len_span_;
 };
@@ -122,16 +156,31 @@ class HeaderTypeDef {
 // Registry of header types for one device, plus the parse entry point.
 class HeaderRegistry {
  public:
+  HeaderRegistry();
+
   Status Add(HeaderTypeDef def);
   Status Remove(std::string_view name);
-  bool Has(std::string_view name) const {
-    return types_.find(name) != types_.end();
-  }
+  bool Has(std::string_view name) const { return Find(IdOf(name)) != nullptr; }
   Result<const HeaderTypeDef*> Get(std::string_view name) const;
-  Result<HeaderTypeDef*> GetMutable(std::string_view name);
 
-  void SetEntryType(std::string name) { entry_type_ = std::move(name); }
-  const std::string& entry_type() const { return entry_type_; }
+  // --- id interface (the packet path) ----------------------------------------
+  // The id interned for `name`, or kNoHeader if the registry never saw it.
+  HeaderId IdOf(std::string_view name) const {
+    auto it = ids_.find(name);
+    return it == ids_.end() ? kNoHeader : it->second;
+  }
+  // The registered type with id `id`, or null (removed, only a link target,
+  // or kNoHeader).
+  const HeaderTypeDef* Find(HeaderId id) const {
+    return id < slots_.size() && slots_[id].def.has_value() ? &*slots_[id].def
+                                                            : nullptr;
+  }
+  // The name interned as `id` (error messages).
+  const std::string& NameOf(HeaderId id) const;
+
+  void SetEntryType(std::string name);
+  const std::string& entry_type() const { return NameOf(entry_id_); }
+  HeaderId entry_id() const { return entry_id_; }
 
   // Runtime linkage edits (controller `link_header` / `unlink_header`).
   Status LinkHeader(std::string_view pre, std::string_view next, uint64_t tag);
@@ -141,7 +190,7 @@ class HeaderRegistry {
   std::vector<std::string> TypeNames() const;
 
   // Bumped on any type/linkage mutation; compiled fast paths holding
-  // HeaderTypeDef-derived offsets revalidate against this.
+  // HeaderTypeDef-derived offsets and pointers revalidate against this.
   uint64_t version() const { return version_; }
 
   // Installs Ethernet/VLAN/IPv4/IPv6/TCP/UDP with their standard linkage;
@@ -153,10 +202,23 @@ class HeaderRegistry {
   static HeaderTypeDef SrhType();
 
  private:
-  std::unordered_map<std::string, HeaderTypeDef, util::StringHash,
-                     std::equal_to<>>
-      types_;
-  std::string entry_type_ = "ethernet";
+  // One interned name. A deque keeps every definition's address stable as
+  // names are interned (PHV instances and compiled stages point at them),
+  // and copies the registry deeply with the default copy constructor.
+  struct Slot {
+    std::string name;
+    std::optional<HeaderTypeDef> def;  // empty unless registered
+  };
+
+  HeaderId Intern(std::string_view name);
+  // Re-resolves `def`'s links against this registry's ids.
+  void ResolveLinks(HeaderTypeDef& def);
+  Result<HeaderTypeDef*> GetMutable(std::string_view name);
+
+  std::deque<Slot> slots_;  // HeaderId -> slot
+  std::unordered_map<std::string, HeaderId, util::StringHash, std::equal_to<>>
+      ids_;
+  HeaderId entry_id_ = kNoHeader;
   uint64_t version_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "arch/parse_engine.h"
 
-#include <algorithm>
-
 namespace ipsa::arch {
 
 namespace {
@@ -49,18 +47,14 @@ uint64_t ReadSelectorTag(const PacketContext& ctx, uint32_t byte_offset,
 
 Result<bool> ParseEngine::ParseNext(PacketContext& ctx, ParseStats& stats) {
   const HeaderRegistry& reg = ctx.registry();
-  std::string next_type;
+  HeaderId next_id;
   uint32_t next_offset = 0;
 
   const HeaderInstance* last = ctx.phv().Last();
   if (last == nullptr) {
-    next_type = reg.entry_type();
-    next_offset = 0;
+    next_id = reg.entry_id();
   } else {
     const HeaderTypeDef* last_def = last->def;
-    if (last_def == nullptr) {
-      IPSA_ASSIGN_OR_RETURN(last_def, reg.Get(last->type_name));
-    }
     if (!last_def->selector_field().has_value()) return false;
     uint64_t tag_value;
     if (last_def->selector_span().has_value()) {
@@ -71,17 +65,20 @@ Result<bool> ParseEngine::ParseNext(PacketContext& ctx, ParseStats& stats) {
       // error matches the interpreter's.
       IPSA_ASSIGN_OR_RETURN(
           mem::BitString tag,
-          ctx.ReadField(FieldRef::Header(last->name,
+          ctx.ReadField(FieldRef::Header(last->name(),
                                          *last_def->selector_field())));
       tag_value = tag.ToUint64();
     }
-    auto next = last_def->NextFor(tag_value);
-    if (!next.has_value()) return false;  // unknown tag: chain ends (payload)
-    next_type = *next;
+    next_id = last_def->NextFor(tag_value);
+    if (next_id == kNoHeader) return false;  // unknown tag: chain ends
     next_offset = last->byte_offset + last->size_bytes;
   }
 
-  IPSA_ASSIGN_OR_RETURN(const HeaderTypeDef* def, reg.Get(next_type));
+  const HeaderTypeDef* def = reg.Find(next_id);
+  if (def == nullptr) {
+    return NotFound("header type '" + reg.NameOf(next_id) +
+                    "' not registered");
+  }
   if (static_cast<size_t>(next_offset) + def->fixed_size_bytes() >
       ctx.packet().size()) {
     return false;  // truncated packet: stop parsing
@@ -90,8 +87,7 @@ Result<bool> ParseEngine::ParseNext(PacketContext& ctx, ParseStats& stats) {
   if (static_cast<size_t>(next_offset) + size > ctx.packet().size()) {
     return false;
   }
-  ctx.phv().Add(HeaderInstance{.type_name = next_type,
-                               .name = next_type,
+  ctx.phv().Add(HeaderInstance{.id = next_id,
                                .byte_offset = next_offset,
                                .size_bytes = size,
                                .valid = true,
@@ -103,21 +99,32 @@ Result<bool> ParseEngine::ParseNext(PacketContext& ctx, ParseStats& stats) {
   return true;
 }
 
-Result<ParseStats> ParseEngine::ParseUntil(
-    PacketContext& ctx, const std::vector<std::string>& wanted) {
+Result<ParseStats> ParseEngine::ParseUntil(PacketContext& ctx,
+                                           std::span<const HeaderId> wanted) {
   ParseStats stats;
-  // NOTE: no FindInstanceFast here — callers may pass temporary vectors
-  // (and the memo keys on string addresses, which temporaries reuse).
   auto all_present = [&] {
-    return std::all_of(wanted.begin(), wanted.end(), [&](const auto& name) {
-      return ctx.phv().IsValid(name);
-    });
+    for (HeaderId id : wanted) {
+      if (!ctx.phv().IsValid(id)) return false;
+    }
+    return true;
   };
   while (!all_present()) {
     IPSA_ASSIGN_OR_RETURN(bool more, ParseNext(ctx, stats));
     if (!more) break;
   }
   return stats;
+}
+
+Result<ParseStats> ParseEngine::ParseUntil(
+    PacketContext& ctx, const std::vector<std::string>& wanted) {
+  // A name the registry never interned can never be parsed: kNoHeader is in
+  // no PHV, so the walk runs to the end of the chain, as a name would.
+  std::vector<HeaderId> ids;
+  ids.reserve(wanted.size());
+  for (const std::string& name : wanted) {
+    ids.push_back(ctx.registry().IdOf(name));
+  }
+  return ParseUntil(ctx, std::span<const HeaderId>(ids));
 }
 
 Result<ParseStats> ParseEngine::ParseAll(PacketContext& ctx) {

@@ -9,6 +9,7 @@
 // parse graph before the pipeline.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,9 +29,14 @@ class ParseEngine {
   // Cycle cost per extracted header (state transition + extract).
   static constexpr uint64_t kCyclesPerHeader = 1;
 
-  // Parses forward until every name in `wanted` is a valid PHV instance, the
+  // Parses forward until every id in `wanted` is a valid PHV instance, the
   // parse chain ends, or the packet is exhausted. Missing headers are not an
-  // error (a v6-only stage simply doesn't fire on a v4 packet).
+  // error (a v6-only stage simply doesn't fire on a v4 packet). Compiled
+  // stages pass the parse set they resolved to ids at compile time.
+  static Result<ParseStats> ParseUntil(PacketContext& ctx,
+                                       std::span<const HeaderId> wanted);
+  // The same by instance name (the interpreter): names resolve to ids
+  // through the context's registry first.
   static Result<ParseStats> ParseUntil(PacketContext& ctx,
                                        const std::vector<std::string>& wanted);
 

@@ -6,14 +6,7 @@ namespace ipsa::arch {
 
 const HeaderInstance* Phv::Find(std::string_view name) const {
   for (const auto& h : instances_) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
-}
-
-HeaderInstance* Phv::FindMutable(std::string_view name) {
-  for (auto& h : instances_) {
-    if (h.name == name) return &h;
+    if (h.name() == name) return &h;
   }
   return nullptr;
 }
@@ -27,28 +20,27 @@ void Phv::ShiftOffsets(uint32_t from_offset, int32_t delta) {
   }
 }
 
-Status Phv::RemoveInstance(std::string_view name) {
-  for (auto it = instances_.begin(); it != instances_.end(); ++it) {
-    if (it->name == name) {
-      instances_.erase(it);
-      ++generation_;
-      return OkStatus();
-    }
-  }
-  return NotFound("PHV has no instance '" + std::string(name) + "'");
-}
-
 Status Metadata::Declare(const std::string& name, uint32_t width_bits) {
   auto it = index_.find(name);
   if (it != index_.end()) {
-    if (values_[static_cast<size_t>(it->second)].bit_width() != width_bits) {
+    if (Info(it->second).width != width_bits) {
       return AlreadyExists("metadata field '" + name +
                            "' redeclared with different width");
     }
     return OkStatus();
   }
-  int slot = static_cast<int>(values_.size());
-  values_.emplace_back(width_bits);
+  int slot = static_cast<int>(slots_.size());
+  SlotInfo info;
+  info.width = width_bits;
+  if (width_bits > 64) {
+    info.wide = static_cast<int32_t>(wide_.size());
+    wide_.emplace_back(width_bits);
+  } else {
+    info.mask = width_bits == 64 ? ~uint64_t{0}
+                                 : (uint64_t{1} << width_bits) - 1;
+  }
+  slots_.push_back(info);
+  words_.push_back(0);
   names_.push_back(name);
   index_.emplace(name, slot);
   if (name == "drop") {
@@ -63,10 +55,34 @@ Status Metadata::Declare(const std::string& name, uint32_t width_bits) {
 
 uint32_t Metadata::WidthOf(std::string_view name) const {
   int slot = SlotOf(name);
-  return slot == kInvalidSlot
-             ? 0
-             : static_cast<uint32_t>(
-                   values_[static_cast<size_t>(slot)].bit_width());
+  return slot == kInvalidSlot ? 0 : Info(slot).width;
+}
+
+mem::BitString Metadata::SlotRead(int slot) const {
+  const SlotInfo& info = Info(slot);
+  if (info.wide >= 0) return wide_[static_cast<size_t>(info.wide)];
+  return mem::BitString(info.width, words_[static_cast<size_t>(slot)]);
+}
+
+void Metadata::SlotWrite(int slot, const mem::BitString& value) {
+  const SlotInfo& info = Info(slot);
+  if (info.wide >= 0) {
+    wide_[static_cast<size_t>(info.wide)].Assign(value);
+    return;
+  }
+  // Truncate/zero-extend to the field width, like BitString::Assign.
+  words_[static_cast<size_t>(slot)] = value.GetBits(0, info.width);
+}
+
+void Metadata::SlotWriteUint(int slot, uint64_t value) {
+  const SlotInfo& info = Info(slot);
+  if (info.wide < 0) {
+    words_[static_cast<size_t>(slot)] = value & info.mask;
+    return;
+  }
+  mem::BitString& v = wide_[static_cast<size_t>(info.wide)];
+  v.Zero();
+  v.SetBits(0, 64, value);
 }
 
 Result<mem::BitString> Metadata::Read(std::string_view name) const {
@@ -74,7 +90,7 @@ Result<mem::BitString> Metadata::Read(std::string_view name) const {
   if (slot == kInvalidSlot) {
     return NotFound("metadata field '" + std::string(name) + "' not declared");
   }
-  return values_[static_cast<size_t>(slot)];
+  return SlotRead(slot);
 }
 
 Status Metadata::Write(std::string_view name, const mem::BitString& value) {
@@ -100,20 +116,14 @@ Status Metadata::WriteUint(std::string_view name, uint64_t value) {
   return OkStatus();
 }
 
-void Metadata::SlotWriteUint(int slot, uint64_t value) {
-  mem::BitString& v = values_[static_cast<size_t>(slot)];
-  v.Zero();
-  v.SetBits(0, std::min<size_t>(64, v.bit_width()), value);
-}
-
 void Metadata::Reset() {
-  for (auto& value : values_) value.Zero();
+  std::fill(words_.begin(), words_.end(), uint64_t{0});
+  for (auto& value : wide_) value.Zero();
 }
 
 void Metadata::CopyValuesFrom(const Metadata& other) {
-  for (size_t i = 0; i < values_.size(); ++i) {
-    values_[i].Assign(other.values_[i]);
-  }
+  std::copy(other.words_.begin(), other.words_.end(), words_.begin());
+  for (size_t i = 0; i < wide_.size(); ++i) wide_[i].Assign(other.wide_[i]);
 }
 
 Metadata Metadata::Standard() {

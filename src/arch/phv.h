@@ -5,11 +5,15 @@
 // a stage parses only what it needs and later stages reuse the result
 // (paper §2.1, "parsed headers are passed to later pipeline stages to avoid
 // unnecessary re-parsing"). In PISA the front parser fills it completely
-// before the pipeline.
+// before the pipeline. Instances are keyed by their type's HeaderId
+// (instance name == type name), so the packet path finds them with an
+// integer compare; the name-based lookups serve the interpreter and tests.
 //
-// Metadata is a bag of named BitString fields: user metadata comes from the
-// rP4 <struct_def>s, standard metadata (ingress_port, egress_spec, drop,
-// mark, ...) is predeclared.
+// Metadata is a flat array of slots: user metadata comes from the rP4
+// <struct_def>s, standard metadata (ingress_port, egress_spec, drop, mark,
+// ...) is predeclared. A field of 64 bits or fewer lives in one uint64_t
+// word (reads and writes are plain loads and stores); only wider fields
+// keep a BitString.
 #pragma once
 
 #include <cstdint>
@@ -19,48 +23,45 @@
 #include <unordered_map>
 #include <vector>
 
+#include "arch/header_types.h"
 #include "mem/block.h"
 #include "util/hash.h"
 #include "util/status.h"
 
 namespace ipsa::arch {
 
-class HeaderTypeDef;
-
 struct HeaderInstance {
-  std::string type_name;   // header type in the registry
-  std::string name;        // instance name (== type name in our programs)
+  HeaderId id = kNoHeader;  // the type's id in the packet's registry
   uint32_t byte_offset = 0;
   uint32_t size_bytes = 0;
   bool valid = false;
-  // Type definition resolved when the instance was created, so the parse
-  // chain never re-hashes type_name. May be null (e.g. pushed instances);
-  // consumers fall back to a registry lookup. Valid for the lifetime of the
-  // packet: registry mutations happen between packets and bump the config
-  // epoch, and the PHV is per-packet state.
+  // The registered type definition. Never null for an instance in a PHV;
+  // valid for the lifetime of the packet: registry mutations happen between
+  // packets and bump the config epoch, and the PHV is per-packet state.
   const HeaderTypeDef* def = nullptr;
+
+  const std::string& name() const { return def->name(); }
 };
 
 class Phv {
  public:
-  void Clear() {
-    instances_.clear();
-    ++generation_;
-  }
+  void Clear() { instances_.clear(); }
 
   // Appends a parsed instance (parse order == wire order).
-  void Add(HeaderInstance instance) {
-    instances_.push_back(std::move(instance));
-    ++generation_;
+  void Add(const HeaderInstance& instance) { instances_.push_back(instance); }
+
+  const HeaderInstance* Find(HeaderId id) const {
+    for (const HeaderInstance& h : instances_) {
+      if (h.id == id) return &h;
+    }
+    return nullptr;
   }
-
-  // Bumped whenever the instance list changes (add/remove/clear), so
-  // resolved name->index entries can be cached and revalidated cheaply
-  // (PacketContext::FindInstanceFast).
-  uint32_t generation() const { return generation_; }
-
+  bool IsValid(HeaderId id) const {
+    const HeaderInstance* h = Find(id);
+    return h != nullptr && h->valid;
+  }
+  // Name-based lookups (interpreter, tests).
   const HeaderInstance* Find(std::string_view name) const;
-  HeaderInstance* FindMutable(std::string_view name);
   bool IsValid(std::string_view name) const {
     const HeaderInstance* h = Find(name);
     return h != nullptr && h->valid;
@@ -77,17 +78,19 @@ class Phv {
   // `delta` (after header insertion/removal in the packet).
   void ShiftOffsets(uint32_t from_offset, int32_t delta);
 
-  // Drops an instance (header removed from the packet).
-  Status RemoveInstance(std::string_view name);
+  // Drops an instance (header removed from the packet). The caller has
+  // already found it, so removal cannot fail.
+  void RemoveInstance(const HeaderInstance* instance) {
+    instances_.erase(instances_.begin() + (instance - instances_.data()));
+  }
 
  private:
   std::vector<HeaderInstance> instances_;
-  uint32_t generation_ = 0;
 };
 
 // Named metadata fields with declared widths.
 //
-// Values live in a slot vector; the name index maps to a slot. Slots are
+// Values live in flat slots; the name index maps to a slot. Slots are
 // append-only, so a slot resolved once (e.g. by the compiled stage) stays
 // valid as long as no field is declared out from under it — callers guard
 // with the device config epoch. All name-based accessors probe the index
@@ -119,17 +122,32 @@ class Metadata {
   int drop_slot() const { return drop_slot_; }
   int mark_slot() const { return mark_slot_; }
   int egress_spec_slot() const { return egress_spec_slot_; }
-  size_t slot_count() const { return values_.size(); }
-  const mem::BitString& SlotRead(int slot) const {
-    return values_[static_cast<size_t>(slot)];
+  size_t slot_count() const { return slots_.size(); }
+
+  // Narrow slots (width <= 64): the value is the word itself, kept masked
+  // to the width. Callers that know the width at compile time use these.
+  uint64_t NarrowRead(int slot) const {
+    return words_[static_cast<size_t>(slot)];
   }
-  void SlotWrite(int slot, const mem::BitString& value) {
-    values_[static_cast<size_t>(slot)].Assign(value);
+  void NarrowWrite(int slot, uint64_t value) {
+    words_[static_cast<size_t>(slot)] = value & Info(slot).mask;
   }
+
+  // Any-width access. Reads of a wide slot as an integer return its low 64
+  // bits; integer writes zero-extend.
+  mem::BitString SlotRead(int slot) const;
+  void SlotWrite(int slot, const mem::BitString& value);
   uint64_t SlotReadUint(int slot) const {
-    return values_[static_cast<size_t>(slot)].ToUint64();
+    const SlotInfo& info = Info(slot);
+    return info.wide < 0 ? words_[static_cast<size_t>(slot)]
+                         : wide_[static_cast<size_t>(info.wide)].ToUint64();
   }
   void SlotWriteUint(int slot, uint64_t value);
+  // The BitString of a slot wider than 64 bits (null for narrow slots).
+  const mem::BitString* WideValue(int slot) const {
+    const SlotInfo& info = Info(slot);
+    return info.wide < 0 ? nullptr : &wide_[static_cast<size_t>(info.wide)];
+  }
 
   void Reset();  // zeroes all fields in place, keeps declarations
 
@@ -144,8 +162,19 @@ class Metadata {
   std::vector<std::string> FieldNames() const;
 
  private:
-  std::vector<mem::BitString> values_;  // slot -> value
-  std::vector<std::string> names_;      // slot -> name
+  struct SlotInfo {
+    uint32_t width = 0;
+    int32_t wide = -1;  // index into wide_ for fields over 64 bits
+    uint64_t mask = 0;  // value mask of a narrow field
+  };
+  const SlotInfo& Info(int slot) const {
+    return slots_[static_cast<size_t>(slot)];
+  }
+
+  std::vector<uint64_t> words_;        // slot -> narrow value (0 if wide)
+  std::vector<SlotInfo> slots_;        // slot -> shape
+  std::vector<mem::BitString> wide_;   // values of the wide slots
+  std::vector<std::string> names_;     // slot -> name
   int drop_slot_ = kInvalidSlot;
   int mark_slot_ = kInvalidSlot;
   int egress_spec_slot_ = kInvalidSlot;

@@ -17,6 +17,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/catalog.h"
@@ -44,11 +45,15 @@ struct StageProgram {
   uint32_t ConfigWords() const;
 };
 
+// Per-stage outcome, returned by value on every stage run, so it holds no
+// owning strings. The names are views into the installed configuration
+// (stage program, table spec, action def), valid until the next
+// configuration change; the compiled walk fills them only when tracing.
 struct StageRunStats {
   bool table_applied = false;
   bool hit = false;
-  std::string applied_table;
-  std::string executed_action;
+  std::string_view applied_table;
+  std::string_view executed_action;
   uint64_t parse_cycles = 0;
   uint64_t parse_bytes = 0;    // header bytes extracted just-in-time here
   uint64_t match_cycles = 0;   // rule evaluations + memory access

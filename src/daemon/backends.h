@@ -62,7 +62,8 @@ std::vector<TxPacket> CollectTx(net::PortSet& ports);
 void CollectTxInto(net::PortSet& ports, std::vector<TxPacket>& out);
 
 // The daemon's packet-injection path: push into `in_port`'s RX queue, drain
-// the device, collect everything that egressed. Shared with ipbm_sim.
+// the device, collect everything that egressed. Shared with ipbm_sim. The
+// drain (RunToCompletion) holds one RCU pin per worker for the whole batch.
 Result<std::vector<TxPacket>> InjectAndDrain(DeviceBackend& dev,
                                              net::Packet packet,
                                              uint32_t in_port,

@@ -5,6 +5,7 @@
 #include "arch/ii_model.h"
 #include "arch/parse_engine.h"
 #include "pisa/executor.h"
+#include "table/rcu.h"
 #include "telemetry/plan_observers.h"
 #include "util/logging.h"
 
@@ -278,6 +279,7 @@ void IpbmSwitch::EnsureCompiled() {
 
   compiled_tsps_.clear();
   compiled_tsps_.resize(pipeline_.tsp_count());
+  stats_.interpreted_stages = 0;
   for (uint32_t id = 0; id < pipeline_.tsp_count(); ++id) {
     for (const arch::StageProgram& program : pipeline_.tsp(id).programs()) {
       CompiledProgram cp;
@@ -294,6 +296,7 @@ void IpbmSwitch::EnsureCompiled() {
         cp.compiled = std::move(compiled).value();
       } else {
         cp.uses_registers = arch::StageMayUseRegisters(program, actions_);
+        ++stats_.interpreted_stages;
       }
       compiled_tsps_[id].push_back(std::move(cp));
     }
@@ -419,9 +422,9 @@ Result<telemetry::ProcessResult> IpbmSwitch::ProcessCore(
           trace->steps.push_back(telemetry::TraceStep{
               .unit = id,
               .stage = cp.source->name,
-              .table = run_stats.applied_table,
+              .table = std::string(run_stats.applied_table),
               .hit = run_stats.hit,
-              .action = run_stats.executed_action,
+              .action = std::string(run_stats.executed_action),
               .parse_bytes = run_stats.parse_bytes});
         }
         if (ctx.dropped()) break;
@@ -451,7 +454,7 @@ Result<telemetry::ProcessResult> IpbmSwitch::ProcessCore(
   result.cycles = ctx.cycles();
   for (const auto& h : ctx.phv().instances()) {
     if (h.valid) ++result.headers_parsed;
-    if (trace != nullptr && h.valid) trace->parsed_headers.push_back(h.name);
+    if (trace != nullptr && h.valid) trace->parsed_headers.push_back(h.name());
   }
   stats.total_cycles += ctx.cycles();
   if (result.dropped) {
@@ -484,6 +487,8 @@ Result<telemetry::ProcessResult> IpbmSwitch::Process(net::Packet& packet,
                                                 uint32_t in_port,
                                                 telemetry::ProcessTrace* trace) {
   EnsureCompiled();
+  // One RCU pin for the packet; each lookup's own guard then only nests.
+  table::rcu::Domain::ReadGuard pin(table::rcu::Domain::Global());
   return ProcessSampled(packet, in_port, scratch_ctx_, stats_,
                         telemetry_.shard(), trace);
 }
@@ -491,6 +496,9 @@ Result<telemetry::ProcessResult> IpbmSwitch::Process(net::Packet& packet,
 Result<std::vector<telemetry::ProcessResult>> IpbmSwitch::ProcessBatch(
     std::span<net::Packet> packets, uint32_t in_port) {
   EnsureCompiled();
+  // One RCU pin for the whole batch; each lookup's own guard then only
+  // nests. Retired table views wait for the batch to end.
+  table::rcu::Domain::ReadGuard pin(table::rcu::Domain::Global());
   telemetry::MetricsShard* tshard = telemetry_.shard();
   std::vector<telemetry::ProcessResult> out;
   out.reserve(packets.size());
@@ -510,6 +518,7 @@ Result<uint32_t> IpbmSwitch::RunToCompletion(uint32_t workers) {
   // results stay identical to the serial drain.
   if (pipeline_uses_registers_) workers = 1;
   if (workers <= 1) {
+    table::rcu::Domain::ReadGuard pin(table::rcu::Domain::Global());
     telemetry::MetricsShard* tshard = telemetry_.shard();
     uint32_t processed = 0;
     for (uint32_t p = 0; p < ports_.count(); ++p) {

@@ -1,6 +1,7 @@
 #include "mem/block.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/strings.h"
 
@@ -65,10 +66,19 @@ BitString BitString::FromBytes(std::span<const uint8_t> bytes,
 
 uint64_t BitString::GetBits(size_t offset, size_t width) const {
   if (width == 0 || offset >= bits_) return 0;
-  // Accumulate the (at most 9) covered bytes LSB-first, then shift the
-  // range into place. Bits beyond bit_width() read as zero.
   const uint8_t* p = data();
   size_t first = offset / 8;
+  // Common case: the range lies inside the string and one 8-byte load
+  // covers it (action parameters, LPM strides, narrow keys).
+  if (offset % 8 + width <= 64 && first + 8 <= byte_size() &&
+      std::endian::native == std::endian::little) {
+    uint64_t w;
+    std::memcpy(&w, p + first, 8);
+    w >>= offset % 8;
+    return width >= 64 ? w : w & ((uint64_t{1} << width) - 1);
+  }
+  // Otherwise accumulate the (at most 9) covered bytes LSB-first, then
+  // shift the range into place. Bits beyond bit_width() read as zero.
   size_t last = std::min((offset + width - 1) / 8, byte_size() - 1);
   unsigned __int128 acc = 0;
   for (size_t b = last + 1; b > first; --b) {
@@ -130,6 +140,24 @@ void BitString::SetBitsFrom(size_t at, const BitString& src, size_t src_offset,
   for (size_t i = 0; i < width; i += 64) {
     size_t chunk = std::min<size_t>(64, width - i);
     SetBits(at + i, chunk, src.GetBits(src_offset + i, chunk));
+  }
+}
+
+void BitString::AssignWords(size_t bit_width, const uint64_t* words) {
+  size_t nbytes = (bit_width + 7) / 8;
+  if (nbytes > kInlineBytes && nbytes > heap_capacity_) {
+    heap_ = std::make_unique<uint8_t[]>(nbytes);
+    heap_capacity_ = nbytes;
+  }
+  bits_ = bit_width;
+  uint8_t* p = data();
+  if (nbytes == 0) return;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, words, nbytes);
+  } else {
+    for (size_t b = 0; b < nbytes; ++b) {
+      p[b] = static_cast<uint8_t>(words[b / 8] >> (8 * (b % 8)));
+    }
   }
 }
 

@@ -96,6 +96,12 @@ class BitString {
     cursor += width;
   }
 
+  // Sets the width to `bit_width` and the bits to the LSB-first words
+  // `words[0 .. WordCount())`, whose bits at or beyond `bit_width` must be
+  // zero. The one-copy store behind word-wise key building; allocates only
+  // when growing, like Resize.
+  void AssignWords(size_t bit_width, const uint64_t* words);
+
   // Zeroes every bit, keeping the width. No reallocation.
   void Zero();
   // In-place equivalent of `*this = FromBytes(src.bytes(), bit_width())`:

@@ -24,19 +24,29 @@ std::string Hlir::InstanceType(std::string_view instance) const {
 }
 
 Result<arch::HeaderRegistry> Hlir::BuildHeaderRegistry() const {
-  arch::HeaderRegistry registry;
-
   // Instance -> header type def (instances are what the pipeline sees; we
   // register one type per *instance* so per-instance links are unambiguous).
+  // The definitions are completed here and registered at the end, so the
+  // registry resolves their links in one go.
+  std::vector<arch::HeaderTypeDef> defs;
+  auto def_of = [&defs](const std::string& name) -> arch::HeaderTypeDef* {
+    for (arch::HeaderTypeDef& d : defs) {
+      if (d.name() == name) return &d;
+    }
+    return nullptr;
+  };
   for (const auto& [inst, type_name] : header_instances) {
     const arch::HeaderTypeDef* type = FindHeaderType(type_name);
     if (type == nullptr) {
       return NotFound("headers struct references unknown type '" + type_name +
                       "'");
     }
+    if (def_of(inst) != nullptr) {
+      return AlreadyExists("header type already registered");
+    }
     arch::HeaderTypeDef copy(inst, type->fields());
     if (type->var_size().has_value()) copy.SetVarSize(*type->var_size());
-    IPSA_RETURN_IF_ERROR(registry.Add(std::move(copy)));
+    defs.push_back(std::move(copy));
   }
 
   // Walk the parse graph: a state that extracts instance X and then selects
@@ -52,8 +62,10 @@ Result<arch::HeaderRegistry> Hlir::BuildHeaderRegistry() const {
           "parse state '" + state.name +
           "' selects on a field of a non-latest header; not supported");
     }
-    IPSA_ASSIGN_OR_RETURN(arch::HeaderTypeDef * def,
-                          registry.GetMutable(from));
+    arch::HeaderTypeDef* def = def_of(from);
+    if (def == nullptr) {
+      return NotFound("header type '" + from + "' not registered");
+    }
     if (def->selector_field().has_value() &&
         *def->selector_field() != state.select_field) {
       return InvalidArgument("header '" + from +
@@ -72,6 +84,11 @@ Result<arch::HeaderRegistry> Hlir::BuildHeaderRegistry() const {
       if (next->extracts.empty()) continue;
       def->SetLink(tag, next->extracts.front());
     }
+  }
+
+  arch::HeaderRegistry registry;
+  for (arch::HeaderTypeDef& def : defs) {
+    IPSA_RETURN_IF_ERROR(registry.Add(std::move(def)));
   }
 
   // Entry type: first extract of the start state.

@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "table/rcu.h"
+
 namespace ipsa::pisa {
 
 Result<uint32_t> DrainPortsSharded(net::PortSet& ports, uint32_t workers,
@@ -38,12 +40,15 @@ Result<uint32_t> DrainPortsSharded(net::PortSet& ports, uint32_t workers,
   };
 
   if (workers <= 1) {
+    table::rcu::Domain::ReadGuard pin(table::rcu::Domain::Global());
     for (uint32_t p = 0; p < port_count; ++p) drain_port(p, 0);
   } else {
     std::vector<std::thread> threads;
     threads.reserve(workers);
     for (uint32_t w = 0; w < workers; ++w) {
       threads.emplace_back([&, w] {
+        // One RCU pin per worker for its whole share of the drain.
+        table::rcu::Domain::ReadGuard pin(table::rcu::Domain::Global());
         for (uint32_t p = w; p < port_count; p += workers) drain_port(p, w);
       });
     }

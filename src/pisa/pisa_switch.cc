@@ -5,6 +5,7 @@
 #include "arch/ii_model.h"
 #include "arch/parse_engine.h"
 #include "pisa/executor.h"
+#include "table/rcu.h"
 #include "telemetry/plan_observers.h"
 #include "util/logging.h"
 
@@ -172,6 +173,7 @@ void PisaSwitch::EnsureCompiled() {
   if (key == compiled_key_) return;
 
   design_uses_registers_ = false;
+  stats_.interpreted_stages = 0;
   auto compile_side =
       [this](const std::vector<std::optional<arch::StageProgram>>& side,
              std::vector<std::optional<arch::CompiledStage>>& out) {
@@ -193,6 +195,7 @@ void PisaSwitch::EnsureCompiled() {
             // Interpreter fallback for this stage.
             design_uses_registers_ |=
                 arch::StageMayUseRegisters(*side[i], actions_);
+            ++stats_.interpreted_stages;
           }
         }
       };
@@ -284,7 +287,7 @@ Result<ProcessResult> PisaSwitch::ProcessCore(net::Packet& packet,
 
   if (trace != nullptr) {
     for (const auto& h : ctx.phv().instances()) {
-      if (h.valid) trace->parsed_headers.push_back(h.name);
+      if (h.valid) trace->parsed_headers.push_back(h.name());
     }
   }
 
@@ -347,9 +350,9 @@ Result<ProcessResult> PisaSwitch::ProcessCore(net::Packet& packet,
         trace->steps.push_back(TraceStep{
             .unit = base_index + static_cast<uint32_t>(i),
             .stage = side[i]->name,
-            .table = run_stats.applied_table,
+            .table = std::string(run_stats.applied_table),
             .hit = run_stats.hit,
-            .action = run_stats.executed_action,
+            .action = std::string(run_stats.executed_action),
             .parse_bytes = 0});
       }
       if (ctx.dropped()) break;
@@ -396,6 +399,8 @@ Result<ProcessResult> PisaSwitch::Process(net::Packet& packet,
                                           uint32_t in_port,
                                           ProcessTrace* trace) {
   EnsureCompiled();
+  // One RCU pin for the packet; each lookup's own guard then only nests.
+  table::rcu::Domain::ReadGuard pin(table::rcu::Domain::Global());
   return ProcessSampled(packet, in_port, scratch_ctx_, stats_,
                         telemetry_.shard(), trace);
 }
@@ -403,6 +408,9 @@ Result<ProcessResult> PisaSwitch::Process(net::Packet& packet,
 Result<std::vector<ProcessResult>> PisaSwitch::ProcessBatch(
     std::span<net::Packet> packets, uint32_t in_port) {
   EnsureCompiled();
+  // One RCU pin for the whole batch; each lookup's own guard then only
+  // nests. Retired table views wait for the batch to end.
+  table::rcu::Domain::ReadGuard pin(table::rcu::Domain::Global());
   telemetry::MetricsShard* tshard = telemetry_.shard();
   std::vector<ProcessResult> out;
   out.reserve(packets.size());
@@ -422,6 +430,7 @@ Result<uint32_t> PisaSwitch::RunToCompletion(uint32_t workers) {
   // to the serial drain.
   if (design_uses_registers_) workers = 1;
   if (workers <= 1) {
+    table::rcu::Domain::ReadGuard pin(table::rcu::Domain::Global());
     telemetry::MetricsShard* tshard = telemetry_.shard();
     uint32_t processed = 0;
     for (uint32_t p = 0; p < ports_.count(); ++p) {

@@ -449,6 +449,7 @@ void PutDeviceStats(wire::Writer& w, const telemetry::DeviceStats& d) {
   w.U64(d.packets_dropped);
   w.U64(d.packets_marked);
   w.U64(d.total_cycles);
+  w.U64(d.interpreted_stages);
 }
 
 Result<telemetry::DeviceStats> GetDeviceStats(wire::Reader& r) {
@@ -462,6 +463,7 @@ Result<telemetry::DeviceStats> GetDeviceStats(wire::Reader& r) {
   IPSA_ASSIGN_OR_RETURN(d.packets_dropped, r.U64());
   IPSA_ASSIGN_OR_RETURN(d.packets_marked, r.U64());
   IPSA_ASSIGN_OR_RETURN(d.total_cycles, r.U64());
+  IPSA_ASSIGN_OR_RETURN(d.interpreted_stages, r.U64());
   return d;
 }
 

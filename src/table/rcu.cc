@@ -11,6 +11,7 @@ struct SlotLease {
 
   ~SlotLease() {
     if (slot != nullptr) {
+      slot->depth = 0;
       slot->epoch.store(Domain::kIdle, std::memory_order_release);
       slot->claimed.store(false, std::memory_order_release);
     }
@@ -46,6 +47,9 @@ void Domain::Pin() {
     overflow_pins_.fetch_add(1, std::memory_order_seq_cst);
     return;
   }
+  // A nested pin: the outer one already holds the slot at an epoch no newer
+  // than now, which protects everything this one would.
+  if (slot->depth++ > 0) return;
   // Publish the pinned epoch, then re-check it: the seq_cst store/load pair
   // guarantees that if a concurrent Synchronize() missed this slot when
   // scanning, this thread sees the bumped epoch and retries — so a reader
@@ -59,6 +63,7 @@ void Domain::Pin() {
 
 void Domain::Unpin() {
   if (t_lease.domain == this && t_lease.slot != nullptr) {
+    if (--t_lease.slot->depth > 0) return;  // an outer pin is still held
     t_lease.slot->epoch.store(kIdle, std::memory_order_release);
     return;
   }

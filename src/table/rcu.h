@@ -22,7 +22,9 @@
 // Why not the alternatives: a seqlock would let readers observe torn
 // shards (and is TSan-hostile); std::atomic<shared_ptr> takes a spinlock in
 // libstdc++ and adds per-lookup reference-count traffic to the hot path.
-// Epochs cost two uncontended atomic stores per lookup and nothing else.
+// Epochs cost two uncontended atomic stores per outermost pin and nothing
+// else; a device pins once per batch, so each lookup's own guard is only a
+// thread-local depth increment.
 #pragma once
 
 #include <atomic>
@@ -45,13 +47,16 @@ class Domain {
 
   // --- reader side -----------------------------------------------------------
 
-  // Pins the calling thread at the current epoch. Until Unpin(), no view
-  // retired at or after this moment is freed. Two atomic stores plus an
-  // epoch re-check; no allocation after the thread's first call.
+  // Pins the calling thread at the current epoch. Until the matching
+  // Unpin(), no view retired at or after this moment is freed. Pins nest:
+  // only the outermost Pin publishes the epoch (two atomic stores plus an
+  // epoch re-check) and only the outermost Unpin releases the slot; inner
+  // pairs just move a per-thread depth counter. No allocation after the
+  // thread's first call.
   void Pin();
   void Unpin();
 
-  // RAII pin for one lookup.
+  // RAII pin: one lookup, or a whole batch of packets around many lookups.
   class ReadGuard {
    public:
     explicit ReadGuard(Domain& d) : d_(&d) { d_->Pin(); }
@@ -86,6 +91,9 @@ class Domain {
   struct alignas(64) Slot {
     std::atomic<uint64_t> epoch{kIdle};
     std::atomic<bool> claimed{false};
+    // Nesting depth of the owning thread's pins; only that thread reads or
+    // writes it, so it needs no atomicity.
+    uint32_t depth = 0;
   };
 
   struct Retired {

@@ -61,6 +61,8 @@ struct CachedAction {
 struct LookupScratch {
   mem::BitString key;
   LookupResult result;
+  // The words a compiled key is assembled in before it is stored into `key`.
+  std::vector<uint64_t> key_words;
 };
 
 // A populated table entry as seen by the runtime API.

@@ -28,6 +28,12 @@ struct DeviceStats {
   uint64_t packets_marked = 0;
   uint64_t total_cycles = 0;
 
+  // Gauge: stage programs that CompileStage could not resolve and that run
+  // on the interpreter fallback (RunStage) in the installed configuration.
+  // Set at each recompile; zero when every stage compiled, and under
+  // ExecMode::kInterpret, where interpreting is the chosen mode.
+  uint64_t interpreted_stages = 0;
+
   void Reset() { *this = DeviceStats{}; }
 
   // Accumulates another shard's counters (parallel workers keep per-worker
@@ -42,6 +48,7 @@ struct DeviceStats {
     packets_dropped += o.packets_dropped;
     packets_marked += o.packets_marked;
     total_cycles += o.total_cycles;
+    // interpreted_stages is a device-wide gauge, not a worker counter.
   }
 };
 

@@ -121,6 +121,12 @@ std::string RenderPrometheus(const MetricsSnapshot& snap,
     Append(out, "# TYPE %s counter\n", d.name);
     Append(out, "%s{arch=\"%s\"} %" PRIu64 "\n", d.name, a.c_str(), d.value);
   }
+  Append(out,
+         "# HELP ipsa_interpreted_stages stage programs on the interpreter "
+         "fallback because they did not compile\n");
+  Append(out, "# TYPE ipsa_interpreted_stages gauge\n");
+  Append(out, "ipsa_interpreted_stages{arch=\"%s\"} %" PRIu64 "\n", a.c_str(),
+         snap.device.interpreted_stages);
 
   // Per-port counters + latency histograms.
   Append(out, "# TYPE ipsa_port_packets_in_total counter\n");
@@ -215,6 +221,7 @@ util::Json SnapshotToJson(const MetricsSnapshot& snap, std::string_view arch) {
   device["full_loads"] = snap.device.full_loads;
   device["template_writes"] = snap.device.template_writes;
   device["table_ops"] = snap.device.table_ops;
+  device["interpreted_stages"] = snap.device.interpreted_stages;
   j["device"] = std::move(device);
 
   util::Json ports = util::Json::Array();

@@ -37,12 +37,13 @@ struct PlanTraceObserver {
     if (shard != nullptr) {
       shard->OnStage(program.slot, stats.table_applied, stats.hit);
     }
-    trace->steps.push_back(TraceStep{.unit = group.unit,
-                                     .stage = program.source->name,
-                                     .table = stats.applied_table,
-                                     .hit = stats.hit,
-                                     .action = stats.executed_action,
-                                     .parse_bytes = stats.parse_bytes});
+    trace->steps.push_back(
+        TraceStep{.unit = group.unit,
+                  .stage = program.source->name,
+                  .table = std::string(stats.applied_table),
+                  .hit = stats.hit,
+                  .action = std::string(stats.executed_action),
+                  .parse_bytes = stats.parse_bytes});
   }
 };
 

@@ -75,9 +75,11 @@ TEST(HeaderRegistryTest, RuntimeLinkHeader) {
   ASSERT_TRUE(reg.LinkHeader("ipv6", "srh", 43).ok());
   auto ipv6 = reg.Get("ipv6");
   ASSERT_TRUE(ipv6.ok());
-  EXPECT_EQ((*ipv6)->NextFor(43), "srh");
+  EXPECT_EQ((*ipv6)->NextNameFor(43), "srh");
+  EXPECT_EQ((*ipv6)->NextFor(43), reg.IdOf("srh"));
   ASSERT_TRUE(reg.UnlinkHeader("ipv6", 43).ok());
-  EXPECT_FALSE((*ipv6)->NextFor(43).has_value());
+  EXPECT_FALSE((*ipv6)->NextNameFor(43).has_value());
+  EXPECT_EQ((*ipv6)->NextFor(43), kNoHeader);
   // Linking to an unregistered target fails.
   EXPECT_FALSE(reg.LinkHeader("ipv6", "ghost", 99).ok());
 }
@@ -104,10 +106,43 @@ TEST(MetadataTest, DeclareReadWrite) {
   EXPECT_FALSE(m.Declare("custom", 16).ok());
 }
 
+// Fields over 64 bits keep a BitString slot; narrow ones are plain words.
+// Both paths must truncate and zero-extend like a BitString assignment.
+TEST(MetadataTest, WideAndNarrowSlots) {
+  Metadata m = Metadata::Standard();
+  ASSERT_TRUE(m.Declare("wide", 100).ok());
+  int wide = m.SlotOf("wide");
+  int narrow = m.SlotOf("egress_spec");
+  ASSERT_NE(m.WideValue(wide), nullptr);
+  EXPECT_EQ(m.WideValue(narrow), nullptr);
+
+  mem::BitString v(100);
+  v.SetBits(64, 36, 0xABCDEF123ull);
+  v.SetBits(0, 64, 0x1122334455667788ull);
+  m.SlotWrite(wide, v);
+  EXPECT_EQ(m.SlotRead(wide), v);
+  EXPECT_EQ(m.SlotReadUint(wide), 0x1122334455667788ull);
+  m.SlotWriteUint(wide, 7);
+  EXPECT_EQ(m.SlotRead(wide), mem::BitString(100, 7));
+
+  m.SlotWrite(narrow, v);  // truncates to the 9-bit width
+  EXPECT_EQ(m.NarrowRead(narrow), 0x188u);
+  EXPECT_EQ(m.SlotRead(narrow), mem::BitString(9, 0x188));
+  m.NarrowWrite(narrow, 0xFFFF);
+  EXPECT_EQ(m.SlotReadUint(narrow), 0x1FFu);
+
+  m.Reset();
+  EXPECT_EQ(m.SlotReadUint(narrow), 0u);
+  EXPECT_EQ(m.SlotRead(wide), mem::BitString(100));
+}
+
 TEST(PhvTest, ShiftOffsets) {
+  HeaderRegistry reg = HeaderRegistry::StandardL2L3();
+  const HeaderTypeDef* eth = *reg.Get("ethernet");
+  const HeaderTypeDef* ipv4 = *reg.Get("ipv4");
   Phv phv;
-  phv.Add({"ethernet", "ethernet", 0, 14, true});
-  phv.Add({"ipv4", "ipv4", 14, 20, true});
+  phv.Add({eth->id(), 0, 14, true, eth});
+  phv.Add({ipv4->id(), 14, 20, true, ipv4});
   phv.ShiftOffsets(14, 8);
   EXPECT_EQ(phv.Find("ethernet")->byte_offset, 0u);
   EXPECT_EQ(phv.Find("ipv4")->byte_offset, 22u);
@@ -120,6 +155,12 @@ struct FieldCase {
   const char* field;
   uint64_t expected;
 };
+
+// Without this gtest prints the raw bytes of the case, pointers included,
+// so every build registers the cases under different ctest names.
+void PrintTo(const FieldCase& c, std::ostream* os) {
+  *os << c.instance << "." << c.field;
+}
 
 class ContextFieldTest : public ::testing::TestWithParam<FieldCase> {
  protected:
@@ -425,9 +466,7 @@ TEST(ParseEngineTest, VariableSizeHeader) {
   HeaderRegistry reg = HeaderRegistry::StandardL2L3();
   ASSERT_TRUE(reg.Add(HeaderRegistry::SrhType()).ok());
   ASSERT_TRUE(reg.LinkHeader("ipv6", "srh", 43).ok());
-  auto srh_def = reg.GetMutable("srh");
-  ASSERT_TRUE(srh_def.ok());
-  (*srh_def)->SetLink(4, "ipv4");
+  ASSERT_TRUE(reg.LinkHeader("srh", "ipv4", 4).ok());
   net::Packet packet = V6SrhPacket();
   PacketContext ctx(packet, reg, Metadata::Standard());
   ASSERT_TRUE(ParseEngine::ParseAll(ctx).ok());
@@ -611,7 +650,7 @@ TEST(SerdeTest, HeaderTypeRoundTrip) {
   auto back = HeaderTypeFromJson(HeaderTypeToJson(srh));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->name(), "srh");
-  EXPECT_EQ(back->NextFor(41), "ipv6");
+  EXPECT_EQ(back->NextNameFor(41), "ipv6");
   ASSERT_TRUE(back->var_size().has_value());
   EXPECT_EQ(back->var_size()->multiplier, 8u);
 }

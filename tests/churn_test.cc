@@ -267,6 +267,14 @@ void RunDeviceChurn(daemon::ArchKind arch, bool force_interpreter) {
     }
   });
 
+  // Inject only after the writer's first toggle. The 400 packets can
+  // otherwise all be forwarded before the writer thread is first scheduled
+  // (a fast packet path on a loaded host), and then no lookup has raced a
+  // publication at all.
+  while (toggles.load(std::memory_order_relaxed) == 0 &&
+         !failure.failed.load()) {
+    std::this_thread::yield();
+  }
   for (uint32_t i = 0; i < 400 && !failure.failed.load(); ++i) {
     auto tx = daemon::InjectAndDrain(*backend,
                                      V4Packet(kDst, static_cast<uint16_t>(

@@ -15,16 +15,25 @@
 
 #include <random>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "arch/context.h"
+#include "arch/stage.h"
 #include "bench/common.h"
 #include "ipsa/ipbm.h"
 #include "net/workload.h"
 #include "telemetry/collector.h"
+#include "telemetry/export.h"
 
 namespace ipsa {
 namespace {
+
+// The per-packet values the compiled walk copies and returns by value hold
+// no owning strings: a PHV instance is ids, offsets and a definition
+// pointer; stage stats carry names only as views.
+static_assert(std::is_trivially_copyable_v<arch::HeaderInstance>);
+static_assert(std::is_trivially_copyable_v<arch::StageRunStats>);
 
 using bench::MakePisaSetup;
 using bench::MakeRp4Setup;
@@ -536,6 +545,113 @@ TEST(ExecModeEquivalence, PbmPlanElidesEmptyStages) {
   EXPECT_EQ(dev.PlanToString(), "");
   dev.SetExecMode(arch::ExecMode::kInterpret);
   EXPECT_EQ(dev.PlanToString(), "");
+}
+
+// Traced runs are the only ones that fill stage names (the compiled walk
+// sets the StageRunStats views only under fill_names): every execution mode
+// must report the same stages, tables, hits, actions and parsed headers as
+// the name-based interpreter.
+template <typename MakeSetup>
+void CheckTracedNamesMatchInterpreter(MakeSetup make, UseCase uc) {
+  SCOPED_TRACE(UseCaseName(uc));
+  std::vector<std::vector<telemetry::ProcessTrace>> traces(3);
+  for (size_t m = 0; m < 3; ++m) {
+    net::Workload populate_workload(WorkloadFor(uc));
+    auto setup = make(uc, &populate_workload);
+    ASSERT_TRUE(setup.ok()) << setup.status().ToString();
+    setup->device->SetExecMode(kAllModes[m]);
+    for (net::Packet& p : MakeWorkloadPackets(uc)) {
+      telemetry::ProcessTrace trace;
+      auto r = setup->device->Process(p, 1, &trace);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      traces[m].push_back(std::move(trace));
+    }
+  }
+  size_t named_tables = 0;
+  for (size_t m = 1; m < 3; ++m) {
+    ASSERT_EQ(traces[0].size(), traces[m].size());
+    for (size_t i = 0; i < traces[0].size(); ++i) {
+      SCOPED_TRACE(std::string(ModeName(kAllModes[m])) + " packet " +
+                   std::to_string(i));
+      const telemetry::ProcessTrace& want = traces[0][i];
+      const telemetry::ProcessTrace& got = traces[m][i];
+      EXPECT_EQ(want.parsed_headers, got.parsed_headers);
+      ASSERT_EQ(want.steps.size(), got.steps.size());
+      for (size_t s = 0; s < want.steps.size(); ++s) {
+        EXPECT_EQ(want.steps[s].stage, got.steps[s].stage);
+        EXPECT_EQ(want.steps[s].table, got.steps[s].table);
+        EXPECT_EQ(want.steps[s].hit, got.steps[s].hit);
+        EXPECT_EQ(want.steps[s].action, got.steps[s].action);
+        EXPECT_FALSE(got.steps[s].action.empty());
+        if (!got.steps[s].table.empty()) ++named_tables;
+      }
+    }
+  }
+  EXPECT_GT(named_tables, 0u);
+}
+
+TEST(TracedNames, IpbmMatchesInterpreter) {
+  for (UseCase uc : kAllUseCases) {
+    CheckTracedNamesMatchInterpreter(
+        [](UseCase u, const net::Workload* w) { return MakeRp4Setup(u, w); },
+        uc);
+  }
+}
+
+TEST(TracedNames, PbmMatchesInterpreter) {
+  for (UseCase uc : kAllUseCases) {
+    CheckTracedNamesMatchInterpreter(
+        [](UseCase u, const net::Workload* w) { return MakePisaSetup(u, w); },
+        uc);
+  }
+}
+
+// A template whose guard names an undeclared metadata field cannot compile,
+// so the stage runs on the interpreter fallback. The device counts it in
+// DeviceStats and /metrics exports the gauge; clearing the template brings
+// the count back to zero.
+TEST(InterpreterFallback, UncompilableStageIsCountedAndExported) {
+  net::Workload populate_workload(WorkloadFor(UseCase::kBase));
+  auto setup = MakeRp4Setup(UseCase::kBase, &populate_workload);
+  ASSERT_TRUE(setup.ok()) << setup.status().ToString();
+  ipbm::IpbmSwitch& dev = *setup->device;
+
+  uint32_t free_tsp = dev.pipeline().tsp_count();
+  for (uint32_t i = 0; i < dev.pipeline().tsp_count(); ++i) {
+    if (dev.pipeline().tsp(i).programs().empty()) {
+      free_tsp = i;
+      break;
+    }
+  }
+  ASSERT_LT(free_tsp, dev.pipeline().tsp_count());
+
+  // The first rule always ends the matcher, so the undeclared field is
+  // never read at run time; it only makes CompileStage fail.
+  arch::StageProgram probe;
+  probe.name = "ghost_guard";
+  probe.matcher.push_back(arch::MatchRule{nullptr, ""});
+  probe.matcher.push_back(arch::MatchRule{
+      arch::Expr::Binary(arch::Expr::Op::kEq,
+                         arch::Expr::Field(arch::FieldRef::Meta("ghost")),
+                         arch::Expr::ConstU(1, 1)),
+      ""});
+  ASSERT_TRUE(
+      dev.WriteTspTemplate(free_tsp, ipbm::TspRole::kEgress, {probe}).ok());
+
+  net::Packet packet = MakeWorkloadPackets(UseCase::kBase).front();
+  auto r = dev.Process(packet, 1);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(dev.stats().interpreted_stages, 1u);
+
+  std::string metrics = telemetry::RenderPrometheus(
+      dev.telemetry().Snapshot(dev.config_epoch(), dev.stats()), "ipsa");
+  EXPECT_NE(metrics.find("ipsa_interpreted_stages{arch=\"ipsa\"} 1\n"),
+            std::string::npos)
+      << metrics;
+
+  ASSERT_TRUE(dev.ClearTsp(free_tsp).ok());
+  ASSERT_TRUE(dev.Process(packet, 1).ok());
+  EXPECT_EQ(dev.stats().interpreted_stages, 0u);
 }
 
 }  // namespace

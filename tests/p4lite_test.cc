@@ -42,11 +42,11 @@ TEST(P4ParserTest, BuildHeaderRegistryFlattensParseGraph) {
   EXPECT_EQ(registry->entry_type(), "ethernet");
   auto eth = registry->Get("ethernet");
   ASSERT_TRUE(eth.ok());
-  EXPECT_EQ((*eth)->NextFor(0x0800), "ipv4");
-  EXPECT_EQ((*eth)->NextFor(0x86DD), "ipv6");
+  EXPECT_EQ((*eth)->NextNameFor(0x0800), "ipv4");
+  EXPECT_EQ((*eth)->NextNameFor(0x86DD), "ipv6");
   auto ipv4 = registry->Get("ipv4");
   ASSERT_TRUE(ipv4.ok());
-  EXPECT_EQ((*ipv4)->NextFor(17), "udp");
+  EXPECT_EQ((*ipv4)->NextNameFor(17), "udp");
 }
 
 TEST(P4ParserTest, Srv6VariantHasVarsizeSrh) {
@@ -60,7 +60,7 @@ TEST(P4ParserTest, Srv6VariantHasVarsizeSrh) {
   ASSERT_TRUE(registry.ok()) << registry.status().ToString();
   auto ipv6 = registry->Get("ipv6");
   ASSERT_TRUE(ipv6.ok());
-  EXPECT_EQ((*ipv6)->NextFor(43), "srh");
+  EXPECT_EQ((*ipv6)->NextNameFor(43), "srh");
 }
 
 TEST(P4ParserTest, ProbeVariantHasRegister) {

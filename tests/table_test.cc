@@ -7,6 +7,7 @@
 
 #include "table/exact_table.h"
 #include "table/lpm_table.h"
+#include "table/rcu.h"
 #include "table/selector_table.h"
 #include "table/table.h"
 #include "table/ternary_table.h"
@@ -770,6 +771,46 @@ TEST(TableLargeSpecTest, LpmFillsRowsPastDefaultCapacity) {
             1100u);
   EXPECT_EQ((*t)->Lookup(mem::BitString(16, 42)).action_data.ToUint64(), 43u);
   EXPECT_FALSE((*t)->Lookup(mem::BitString(16, 2000)).hit);
+}
+
+// --- RCU reader pins -------------------------------------------------------
+
+// Flags its own deletion, so a test can watch the grace period end.
+struct RetireProbe {
+  bool* freed;
+  ~RetireProbe() { *freed = true; }
+};
+
+// Devices pin once per packet batch and every lookup pins again inside it.
+// The inner pair must only move the depth: after an inner Unpin the slot
+// stays pinned, and a view retired under the outer pin (before or after the
+// inner pair) is freed only after the outermost Unpin.
+TEST(RcuDomainTest, NestedPinsReleaseAtTheOutermostUnpin) {
+  rcu::Domain& domain = rcu::Domain::Global();
+  bool under_both = false;
+  bool under_outer = false;
+
+  domain.Pin();  // the batch
+  domain.Pin();  // a lookup inside it
+  domain.Retire(new RetireProbe{&under_both});
+  domain.Unpin();
+  domain.Retire(new RetireProbe{&under_outer});
+  domain.Synchronize();
+  domain.Synchronize();
+  EXPECT_FALSE(under_both) << "inner Unpin released the outer pin";
+  EXPECT_FALSE(under_outer) << "inner Unpin released the outer pin";
+
+  {
+    rcu::Domain::ReadGuard nested(domain);  // nests under the batch pin too
+  }
+  domain.Synchronize();
+  EXPECT_FALSE(under_both);
+  EXPECT_FALSE(under_outer);
+
+  domain.Unpin();  // the batch ends
+  domain.Synchronize();
+  EXPECT_TRUE(under_both);
+  EXPECT_TRUE(under_outer);
 }
 
 }  // namespace
