@@ -181,9 +181,9 @@ Status A6_PipelineLatency() {
     for (int i = 0; i < kPackets; ++i) {
       net::Packet a = gen_a.NextPacket();
       net::Packet b = gen_b.NextPacket();
-      IPSA_ASSIGN_OR_RETURN(pisa::ProcessResult ra,
+      IPSA_ASSIGN_OR_RETURN(telemetry::ProcessResult ra,
                             pisa.device->Process(a, 1));
-      IPSA_ASSIGN_OR_RETURN(pisa::ProcessResult rb,
+      IPSA_ASSIGN_OR_RETURN(telemetry::ProcessResult rb,
                             rp4.device->Process(b, 1));
       cycles_a += ra.cycles;
       cycles_b += rb.cycles;

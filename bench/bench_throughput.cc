@@ -50,9 +50,10 @@ Result<ThroughputRow> Measure(UseCase uc) {
   for (int i = 0; i < kPackets; ++i) {
     net::Packet a = PacketFor(uc, gen_a, i);
     net::Packet b = PacketFor(uc, gen_b, i);
-    IPSA_ASSIGN_OR_RETURN(pisa::ProcessResult ra,
+    IPSA_ASSIGN_OR_RETURN(telemetry::ProcessResult ra,
                           pisa.device->Process(a, 1));
-    IPSA_ASSIGN_OR_RETURN(pisa::ProcessResult rb, rp4.device->Process(b, 1));
+    IPSA_ASSIGN_OR_RETURN(telemetry::ProcessResult rb,
+                          rp4.device->Process(b, 1));
     pisa_acc.Add(ra.pipeline_ii);
     ipsa_acc.Add(rb.pipeline_ii);
   }

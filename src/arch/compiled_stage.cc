@@ -922,7 +922,7 @@ Result<StageRunStats> RunCompiledStage(const CompiledStage& stage,
     IPSA_RETURN_IF_ERROR(BuildCompiledKey(*chosen, ctx, scratch));
     table::LookupResult& result = scratch.result;
     chosen->table->LookupInto(scratch.key, result);
-    chosen->table->CountLookup(result.hit);
+    scratch.tally.Count(*chosen->table, result);
     ctx.ChargeCycles(result.access_cycles);
     stats.match_cycles += result.access_cycles;
     stats.access_cycles = result.access_cycles;

@@ -55,7 +55,7 @@ Result<StageRunStats> RunStage(const StageProgram& stage, PacketContext& ctx,
     IPSA_ASSIGN_OR_RETURN(table::MatchTable * tbl, catalog.Get(*chosen_table));
     table::LookupResult& result = scratch.result;
     tbl->LookupInto(scratch.key, result);
-    tbl->CountLookup(result.hit);
+    scratch.tally.Count(*tbl, result);
     ctx.ChargeCycles(result.access_cycles);
     stats.match_cycles += result.access_cycles;
     stats.access_cycles = result.access_cycles;

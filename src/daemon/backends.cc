@@ -7,7 +7,7 @@ namespace ipsa::daemon {
 namespace {
 
 // Shared between both backends: device counters + per-table stats.
-rpc::StatsResponse StatsFrom(const pisa::DeviceStats& st,
+rpc::StatsResponse StatsFrom(const telemetry::DeviceStats& st,
                              const arch::TableCatalog& catalog) {
   rpc::StatsResponse resp;
   resp.packets_in = st.packets_in;

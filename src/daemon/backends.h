@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/pipeline_plan.h"
 #include "controller/controller.h"
 #include "net/packet.h"
 #include "net/ports.h"
@@ -40,11 +41,11 @@ class DeviceBackend : public rpc::Backend {
   // startup unless --no-telemetry); a disabled collector costs one branch
   // per packet.
   virtual void ConfigureTelemetry(const telemetry::TelemetryConfig& config) = 0;
-  // Pins the hosted device to the name-resolving interpreter (the reference
-  // configuration every differential oracle compares against) or back to
-  // the default specialized plan. Flipping it invalidates compiled state
-  // like any other config change.
-  virtual void SetForceInterpreter(bool force) = 0;
+  // Pins the hosted device's execution mode: kInterpret is the
+  // name-resolving interpreter (the reference configuration every
+  // differential oracle compares against), kSpecialize the default plan.
+  // Flipping it invalidates compiled state like any other config change.
+  virtual void SetExecMode(arch::ExecMode mode) = 0;
 };
 
 // One packet leaving the device: which port it egressed and its bytes.
@@ -103,8 +104,8 @@ class IpsaBackend : public DeviceBackend {
   void ConfigureTelemetry(const telemetry::TelemetryConfig& config) override {
     device_.ConfigureTelemetry(config);
   }
-  void SetForceInterpreter(bool force) override {
-    device_.SetForceInterpreter(force);
+  void SetExecMode(arch::ExecMode mode) override {
+    device_.SetExecMode(mode);
   }
 
   ipbm::IpbmSwitch& device() { return device_; }
@@ -150,8 +151,8 @@ class PisaBackend : public DeviceBackend {
   void ConfigureTelemetry(const telemetry::TelemetryConfig& config) override {
     device_.ConfigureTelemetry(config);
   }
-  void SetForceInterpreter(bool force) override {
-    device_.SetForceInterpreter(force);
+  void SetExecMode(arch::ExecMode mode) override {
+    device_.SetExecMode(mode);
   }
 
   pisa::PisaSwitch& device() { return device_; }

@@ -38,7 +38,7 @@ Result<std::unique_ptr<Fabric>> Fabric::Build(Topology topo,
           spec.name, spec.arch, spec.port_count, options.drain_workers));
       if (options.shadow_oracle) {
         auto twin = daemon::MakeBackend(spec.arch);
-        twin->SetForceInterpreter(true);
+        twin->SetExecMode(arch::ExecMode::kInterpret);
         fab->shadow_.push_back(std::move(twin));
       } else {
         fab->shadow_.push_back(nullptr);

@@ -4,8 +4,6 @@
 
 #include "arch/ii_model.h"
 #include "arch/parse_engine.h"
-#include "pisa/executor.h"
-#include "table/rcu.h"
 #include "telemetry/plan_observers.h"
 #include "util/logging.h"
 
@@ -314,7 +312,7 @@ void IpbmSwitch::EnsureCompiled() {
   }
 
   ingress_port_slot_ = metadata_proto_.SlotOf("ingress_port");
-  scratch_ctx_.metadata() = metadata_proto_;
+  driver_.SetMetadataLayout(metadata_proto_);
   compiled_key_ = key;
 
   // Telemetry stage slots: the TSP programs flattened in id order. A TSP's
@@ -465,97 +463,6 @@ Result<telemetry::ProcessResult> IpbmSwitch::ProcessCore(
   if (result.marked) ++stats.packets_marked;
   if (tshard != nullptr) tshard->OnResult(in_port, result);
   return result;
-}
-
-Result<telemetry::ProcessResult> IpbmSwitch::ProcessSampled(
-    net::Packet& packet, uint32_t in_port, arch::PacketContext& ctx,
-    telemetry::DeviceStats& stats, telemetry::MetricsShard* tshard,
-    telemetry::ProcessTrace* trace) {
-  if (trace == nullptr && telemetry_.ShouldTrace(in_port)) {
-    telemetry::ProcessTrace sampled;
-    auto result = ProcessCore(packet, in_port, ctx, stats, tshard, &sampled);
-    if (result.ok()) {
-      telemetry_.CommitTrace(config_epoch(), in_port, *result,
-                             std::move(sampled));
-    }
-    return result;
-  }
-  return ProcessCore(packet, in_port, ctx, stats, tshard, trace);
-}
-
-Result<telemetry::ProcessResult> IpbmSwitch::Process(net::Packet& packet,
-                                                uint32_t in_port,
-                                                telemetry::ProcessTrace* trace) {
-  EnsureCompiled();
-  // One RCU pin for the packet; each lookup's own guard then only nests.
-  table::rcu::Domain::ReadGuard pin(table::rcu::Domain::Global());
-  return ProcessSampled(packet, in_port, scratch_ctx_, stats_,
-                        telemetry_.shard(), trace);
-}
-
-Result<std::vector<telemetry::ProcessResult>> IpbmSwitch::ProcessBatch(
-    std::span<net::Packet> packets, uint32_t in_port) {
-  EnsureCompiled();
-  // One RCU pin for the whole batch; each lookup's own guard then only
-  // nests. Retired table views wait for the batch to end.
-  table::rcu::Domain::ReadGuard pin(table::rcu::Domain::Global());
-  telemetry::MetricsShard* tshard = telemetry_.shard();
-  std::vector<telemetry::ProcessResult> out;
-  out.reserve(packets.size());
-  for (net::Packet& packet : packets) {
-    IPSA_ASSIGN_OR_RETURN(telemetry::ProcessResult r,
-                          ProcessSampled(packet, in_port, scratch_ctx_, stats_,
-                                         tshard, nullptr));
-    out.push_back(r);
-  }
-  return out;
-}
-
-Result<uint32_t> IpbmSwitch::RunToCompletion(uint32_t workers) {
-  EnsureCompiled();
-  // Register read-modify-write order across packets is observable (e.g. the
-  // flow-probe counters); a register-touching pipeline runs single-worker so
-  // results stay identical to the serial drain.
-  if (pipeline_uses_registers_) workers = 1;
-  if (workers <= 1) {
-    table::rcu::Domain::ReadGuard pin(table::rcu::Domain::Global());
-    telemetry::MetricsShard* tshard = telemetry_.shard();
-    uint32_t processed = 0;
-    for (uint32_t p = 0; p < ports_.count(); ++p) {
-      while (auto packet = ports_.port(p).rx().Pop()) {
-        IPSA_ASSIGN_OR_RETURN(telemetry::ProcessResult r,
-                              ProcessSampled(*packet, p, scratch_ctx_, stats_,
-                                             tshard, nullptr));
-        if (!r.dropped && r.egress_port < ports_.count()) {
-          ports_.port(r.egress_port).tx().Push(std::move(*packet));
-        }
-        ++processed;
-      }
-    }
-    return processed;
-  }
-
-  std::vector<arch::PacketContext> ctxs(workers);
-  std::vector<telemetry::DeviceStats> worker_stats(workers);
-  // Telemetry shards mirror the DeviceStats pattern: worker-local, no
-  // atomics, merged after the join so totals equal a serial drain exactly.
-  std::vector<telemetry::MetricsShard> worker_shards;
-  if (telemetry_.enabled()) worker_shards = telemetry_.MakeWorkerShards(workers);
-  for (arch::PacketContext& c : ctxs) c.metadata() = metadata_proto_;
-  IPSA_ASSIGN_OR_RETURN(
-      uint32_t processed,
-      pisa::DrainPortsSharded(
-          ports_, workers,
-          [&](net::Packet& packet, uint32_t in_port, uint32_t worker) {
-            return ProcessSampled(packet, in_port, ctxs[worker],
-                                  worker_stats[worker],
-                                  worker_shards.empty() ? nullptr
-                                                        : &worker_shards[worker],
-                                  nullptr);
-          }));
-  for (const telemetry::DeviceStats& s : worker_stats) stats_.MergeFrom(s);
-  telemetry_.MergeWorkerShards(worker_shards);
-  return processed;
 }
 
 std::string IpbmSwitch::PlanToString() {

@@ -28,6 +28,7 @@
 #include "ipsa/elastic_pipeline.h"
 #include "mem/crossbar.h"
 #include "net/ports.h"
+#include "pisa/executor.h"
 #include "telemetry/collector.h"
 #include "telemetry/device_stats.h"
 #include "util/status.h"
@@ -55,7 +56,7 @@ struct TspAssignment {
   std::vector<std::string> stage_names;  // merged stages, in order
 };
 
-class IpbmSwitch {
+class IpbmSwitch : private pisa::PacketWalk {
  public:
   explicit IpbmSwitch(const IpbmOptions& options = {});
 
@@ -100,21 +101,31 @@ class IpbmSwitch {
   Status LoadBaseDesign(const arch::DesignConfig& design,
                         const std::vector<TspAssignment>& assignments);
 
-  // --- CM / data plane -----------------------------------------------------
+  // --- CM / data plane (pisa::DeviceDriver) --------------------------------
   // When `trace` is non-null, every stage execution is recorded into it.
-  Result<telemetry::ProcessResult> Process(net::Packet& packet, uint32_t in_port,
-                                      telemetry::ProcessTrace* trace = nullptr);
-  // Processes a batch of packets arriving on one port through the compiled
-  // fast path, reusing one scratch context across the whole batch. Results
-  // are identical to calling Process per packet in order.
+  Result<telemetry::ProcessResult> Process(
+      net::Packet& packet, uint32_t in_port,
+      telemetry::ProcessTrace* trace = nullptr) {
+    EnsureCompiled();
+    return driver_.Process(packet, in_port, trace);
+  }
+  // Processes a batch of packets arriving on one port, reusing one scratch
+  // context across the whole batch. Results are identical to calling
+  // Process per packet in order.
   Result<std::vector<telemetry::ProcessResult>> ProcessBatch(
-      std::span<net::Packet> packets, uint32_t in_port);
+      std::span<net::Packet> packets, uint32_t in_port) {
+    EnsureCompiled();
+    return driver_.ProcessBatch(packets, in_port);
+  }
   net::PortSet& ports() { return ports_; }
   // Drains all RX queues; with workers > 1 ports are sharded across that
-  // many threads (output is bit-identical to the serial drain; pipelines
+  // many workers (output is bit-identical to the serial drain; pipelines
   // whose programs touch the register file are serialized to one worker to
   // keep read-modify-write order deterministic).
-  Result<uint32_t> RunToCompletion(uint32_t workers = 1);
+  Result<uint32_t> RunToCompletion(uint32_t workers = 1) {
+    EnsureCompiled();
+    return driver_.RunToCompletion(pipeline_uses_registers_ ? 1 : workers);
+  }
 
   // --- introspection -------------------------------------------------------
   ElasticPipeline& pipeline() { return pipeline_; }
@@ -152,14 +163,6 @@ class IpbmSwitch {
     }
   }
   arch::ExecMode exec_mode() const { return exec_mode_; }
-  // Back-compat spelling: pins every TSP program to the interpreter.
-  void SetForceInterpreter(bool force) {
-    SetExecMode(force ? arch::ExecMode::kInterpret
-                      : arch::ExecMode::kSpecialize);
-  }
-  bool force_interpreter() const {
-    return exec_mode_ == arch::ExecMode::kInterpret;
-  }
 
   // Finds the TSP currently hosting a logical stage, or -1.
   int32_t TspOfStage(std::string_view stage_name) const;
@@ -206,21 +209,13 @@ class IpbmSwitch {
   CompiledKey CurrentKey() const;
   // Recompiles every TSP's template if anything changed since the last call.
   void EnsureCompiled();
-  // The per-packet pipeline walk. `ctx` is a reusable scratch context and
-  // `stats` the counter shard to charge (worker-local when parallel).
-  // EnsureCompiled() must have run since the last configuration change.
-  Result<telemetry::ProcessResult> ProcessCore(net::Packet& packet,
-                                               uint32_t in_port,
-                                               arch::PacketContext& ctx,
-                                               telemetry::DeviceStats& stats,
-                                               telemetry::MetricsShard* tshard,
-                                               telemetry::ProcessTrace* trace);
-  // Runs one packet with `tshard` charged, sampling a trace when the
-  // collector's predicate fires (only consulted when `trace` is null).
-  Result<telemetry::ProcessResult> ProcessSampled(
+  // The per-packet pipeline walk (pisa::PacketWalk). EnsureCompiled() must
+  // have run since the last configuration change.
+  Result<telemetry::ProcessResult> ProcessCore(
       net::Packet& packet, uint32_t in_port, arch::PacketContext& ctx,
       telemetry::DeviceStats& stats, telemetry::MetricsShard* tshard,
-      telemetry::ProcessTrace* trace);
+      telemetry::ProcessTrace* trace) override;
+  uint64_t TraceEpoch() const override { return config_epoch(); }
   // Stopwatches one CCM mutation: charges the wall-clock window and, when
   // the command drained the pipeline, the drain cycles.
   void RecordUpdateWindow(std::chrono::steady_clock::time_point start);
@@ -237,6 +232,7 @@ class IpbmSwitch {
   net::PortSet ports_;
   telemetry::DeviceStats stats_;
   telemetry::Collector telemetry_;
+  pisa::DeviceDriver driver_{*this, ports_, stats_, telemetry_};
 
   // Compiled fast-path state (rebuilt lazily by EnsureCompiled).
   // config_epoch_ counts every CCM command including runtime entry ops
@@ -259,7 +255,6 @@ class IpbmSwitch {
   std::vector<uint32_t> egress_ids_;
   bool pipeline_uses_registers_ = false;
   int ingress_port_slot_ = arch::Metadata::kInvalidSlot;
-  arch::PacketContext scratch_ctx_;
 };
 
 }  // namespace ipsa::ipbm

@@ -232,7 +232,7 @@ Status Block::WriteMask(uint32_t row, const BitString& mask) {
 
 Result<BitString> Block::ReadRow(uint32_t row) const {
   if (row >= depth_) return OutOfRange("block row out of range");
-  CountRead();
+  CountReads(1);
   return rows_[row];
 }
 

@@ -183,11 +183,14 @@ class Block {
         reads_(other.reads_.load(std::memory_order_relaxed)),
         writes_(other.writes_) {}
 
-  // Access statistics feed the hardware throughput model. Reads are counted
-  // from concurrent lookup workers, hence atomic.
+  // Access statistics, for visibility and tests: row fetches charged to
+  // this block and rows written. Reads are merged from concurrent packet
+  // workers' lookup tallies, hence atomic.
   uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
   uint64_t writes() const { return writes_; }
-  void CountRead() const { reads_.fetch_add(1, std::memory_order_relaxed); }
+  void CountReads(uint64_t n) const {
+    reads_.fetch_add(n, std::memory_order_relaxed);
+  }
 
   static constexpr uint32_t kNoOwner = 0xFFFFFFFF;
 

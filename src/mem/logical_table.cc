@@ -64,17 +64,16 @@ Status LogicalTable::WriteMask(Pool& pool, uint32_t row,
 }
 
 Result<BitString> LogicalTable::ReadRow(const Pool& pool, uint32_t row) const {
-  IPSA_RETURN_IF_ERROR(ChargeRead(pool, row));
+  if (row >= depth_) return OutOfRange("logical row out of range");
+  ChargeReads(pool, BlockRowOf(row), 1);
   return PeekRow(pool, row);
 }
 
-Status LogicalTable::ChargeRead(const Pool& pool, uint32_t row) const {
-  if (row >= depth_) return OutOfRange("logical row out of range");
-  RowLoc loc = Locate(row);
+void LogicalTable::ChargeReads(const Pool& pool, uint32_t block_row,
+                               uint64_t n) const {
   for (uint32_t c = 0; c < cols_; ++c) {
-    pool.block(BlockAt(loc.block_row, c)).CountRead();
+    pool.block(BlockAt(block_row, c)).CountReads(n);
   }
-  return OkStatus();
 }
 
 Result<BitString> LogicalTable::PeekRow(const Pool& pool, uint32_t row) const {

@@ -36,11 +36,14 @@ class LogicalTable {
   Status WriteMask(Pool& pool, uint32_t row, const BitString& mask);
   Result<BitString> ReadRow(const Pool& pool, uint32_t row) const;
   BitString ReadMask(const Pool& pool, uint32_t row) const;
-  // Charges the read statistics of a row fetch (one read per grid column,
-  // exactly what ReadRow counts) without materializing the bits. Lets a
-  // software index answer lookups from its decoded cache while the hardware
-  // cost model still sees every data-path memory access.
-  Status ChargeRead(const Pool& pool, uint32_t row) const;
+  // Charges the read statistics of `n` row fetches from grid row
+  // `block_row` (one read per grid column each, exactly what ReadRow
+  // counts) without materializing the bits. Lets a software index answer
+  // lookups from its decoded cache while the read counters still see every
+  // data-path memory access.
+  void ChargeReads(const Pool& pool, uint32_t block_row, uint64_t n) const;
+  // The grid row holding logical row `row`.
+  uint32_t BlockRowOf(uint32_t row) const { return Locate(row).block_row; }
   // Assembles a row's bits WITHOUT touching the read statistics — for index
   // cache refreshes after control-plane writes, which model index
   // maintenance rather than a data-path access.

@@ -4,8 +4,6 @@
 
 #include "arch/ii_model.h"
 #include "arch/parse_engine.h"
-#include "pisa/executor.h"
-#include "table/rcu.h"
 #include "telemetry/plan_observers.h"
 #include "util/logging.h"
 
@@ -240,7 +238,7 @@ void PisaSwitch::EnsureCompiled() {
   }
 
   ingress_port_slot_ = metadata_proto_.SlotOf("ingress_port");
-  scratch_ctx_.metadata() = metadata_proto_;
+  driver_.SetMetadataLayout(metadata_proto_);
   compiled_key_ = key;
 
   // Publish the stage layout so telemetry slots carry logical names. One
@@ -260,12 +258,10 @@ void PisaSwitch::EnsureCompiled() {
   telemetry_.SetStages(std::move(infos));
 }
 
-Result<ProcessResult> PisaSwitch::ProcessCore(net::Packet& packet,
-                                              uint32_t in_port,
-                                              arch::PacketContext& ctx,
-                                              DeviceStats& stats,
-                                              telemetry::MetricsShard* tshard,
-                                              ProcessTrace* trace) {
+Result<telemetry::ProcessResult> PisaSwitch::ProcessCore(
+    net::Packet& packet, uint32_t in_port, arch::PacketContext& ctx,
+    telemetry::DeviceStats& stats, telemetry::MetricsShard* tshard,
+    telemetry::ProcessTrace* trace) {
   if (!loaded_) return FailedPrecondition("pbm: no design loaded");
   ++stats.packets_in;
 
@@ -276,7 +272,7 @@ Result<ProcessResult> PisaSwitch::ProcessCore(net::Packet& packet,
   // Standalone front-end parser: extract everything up front (§2.1 contrast).
   IPSA_ASSIGN_OR_RETURN(arch::ParseStats ps, arch::ParseEngine::ParseAll(ctx));
 
-  ProcessResult result;
+  telemetry::ProcessResult result;
   result.headers_parsed = ps.headers_parsed;
   uint64_t parsed_bytes = 0;
   for (const auto& h : ctx.phv().instances()) {
@@ -347,7 +343,7 @@ Result<ProcessResult> PisaSwitch::ProcessCore(net::Packet& packet,
                         run_stats.table_applied, run_stats.hit);
       }
       if (trace != nullptr) {
-        trace->steps.push_back(TraceStep{
+        trace->steps.push_back(telemetry::TraceStep{
             .unit = base_index + static_cast<uint32_t>(i),
             .stage = side[i]->name,
             .table = std::string(run_stats.applied_table),
@@ -378,98 +374,6 @@ Result<ProcessResult> PisaSwitch::ProcessCore(net::Packet& packet,
   if (result.marked) ++stats.packets_marked;
   if (tshard != nullptr) tshard->OnResult(in_port, result);
   return result;
-}
-
-Result<ProcessResult> PisaSwitch::ProcessSampled(
-    net::Packet& packet, uint32_t in_port, arch::PacketContext& ctx,
-    DeviceStats& stats, telemetry::MetricsShard* tshard, ProcessTrace* trace) {
-  if (trace == nullptr && telemetry_.ShouldTrace(in_port)) {
-    ProcessTrace sampled;
-    auto result = ProcessCore(packet, in_port, ctx, stats, tshard, &sampled);
-    if (result.ok()) {
-      telemetry_.CommitTrace(config_epoch_, in_port, *result,
-                             std::move(sampled));
-    }
-    return result;
-  }
-  return ProcessCore(packet, in_port, ctx, stats, tshard, trace);
-}
-
-Result<ProcessResult> PisaSwitch::Process(net::Packet& packet,
-                                          uint32_t in_port,
-                                          ProcessTrace* trace) {
-  EnsureCompiled();
-  // One RCU pin for the packet; each lookup's own guard then only nests.
-  table::rcu::Domain::ReadGuard pin(table::rcu::Domain::Global());
-  return ProcessSampled(packet, in_port, scratch_ctx_, stats_,
-                        telemetry_.shard(), trace);
-}
-
-Result<std::vector<ProcessResult>> PisaSwitch::ProcessBatch(
-    std::span<net::Packet> packets, uint32_t in_port) {
-  EnsureCompiled();
-  // One RCU pin for the whole batch; each lookup's own guard then only
-  // nests. Retired table views wait for the batch to end.
-  table::rcu::Domain::ReadGuard pin(table::rcu::Domain::Global());
-  telemetry::MetricsShard* tshard = telemetry_.shard();
-  std::vector<ProcessResult> out;
-  out.reserve(packets.size());
-  for (net::Packet& packet : packets) {
-    IPSA_ASSIGN_OR_RETURN(ProcessResult r,
-                          ProcessSampled(packet, in_port, scratch_ctx_, stats_,
-                                         tshard, nullptr));
-    out.push_back(r);
-  }
-  return out;
-}
-
-Result<uint32_t> PisaSwitch::RunToCompletion(uint32_t workers) {
-  EnsureCompiled();
-  // Register read-modify-write order across packets is observable; designs
-  // that touch the register file run single-worker so results stay identical
-  // to the serial drain.
-  if (design_uses_registers_) workers = 1;
-  if (workers <= 1) {
-    table::rcu::Domain::ReadGuard pin(table::rcu::Domain::Global());
-    telemetry::MetricsShard* tshard = telemetry_.shard();
-    uint32_t processed = 0;
-    for (uint32_t p = 0; p < ports_.count(); ++p) {
-      while (auto packet = ports_.port(p).rx().Pop()) {
-        IPSA_ASSIGN_OR_RETURN(ProcessResult r,
-                              ProcessSampled(*packet, p, scratch_ctx_, stats_,
-                                             tshard, nullptr));
-        if (!r.dropped && r.egress_port < ports_.count()) {
-          ports_.port(r.egress_port).tx().Push(std::move(*packet));
-        }
-        ++processed;
-      }
-    }
-    return processed;
-  }
-
-  std::vector<arch::PacketContext> ctxs(workers);
-  std::vector<DeviceStats> worker_stats(workers);
-  // Telemetry shards mirror the DeviceStats pattern: each worker fills its
-  // own shard without atomics; the master absorbs them after the join, so
-  // the merged totals equal a serial drain exactly.
-  std::vector<telemetry::MetricsShard> worker_shards;
-  if (telemetry_.enabled()) worker_shards = telemetry_.MakeWorkerShards(workers);
-  for (arch::PacketContext& c : ctxs) c.metadata() = metadata_proto_;
-  IPSA_ASSIGN_OR_RETURN(
-      uint32_t processed,
-      DrainPortsSharded(ports_, workers,
-                        [&](net::Packet& packet, uint32_t in_port,
-                            uint32_t worker) {
-                          return ProcessSampled(
-                              packet, in_port, ctxs[worker],
-                              worker_stats[worker],
-                              worker_shards.empty() ? nullptr
-                                                    : &worker_shards[worker],
-                              nullptr);
-                        }));
-  for (const DeviceStats& s : worker_stats) stats_.MergeFrom(s);
-  telemetry_.MergeWorkerShards(worker_shards);
-  return processed;
 }
 
 std::string PisaSwitch::PlanToString() {

@@ -22,8 +22,9 @@
 #include "arch/design.h"
 #include "arch/pipeline_plan.h"
 #include "net/ports.h"
-#include "pisa/device_stats.h"
+#include "pisa/executor.h"
 #include "telemetry/collector.h"
+#include "telemetry/device_stats.h"
 #include "util/status.h"
 
 namespace ipsa::pisa {
@@ -41,7 +42,7 @@ struct PisaOptions {
   uint32_t tcam_depth = 512;
 };
 
-class PisaSwitch {
+class PisaSwitch : private PacketWalk {
  public:
   explicit PisaSwitch(const PisaOptions& options = {});
 
@@ -69,24 +70,34 @@ class PisaSwitch {
 
   // Processes one packet through parser -> ingress -> TM -> egress.
   // When `trace` is non-null, every stage execution is recorded into it.
-  Result<ProcessResult> Process(net::Packet& packet, uint32_t in_port,
-                                ProcessTrace* trace = nullptr);
-  // Processes a batch of packets arriving on one port through the compiled
-  // fast path, reusing one scratch context across the whole batch. Results
-  // are identical to calling Process per packet in order.
-  Result<std::vector<ProcessResult>> ProcessBatch(
-      std::span<net::Packet> packets, uint32_t in_port);
+  Result<telemetry::ProcessResult> Process(
+      net::Packet& packet, uint32_t in_port,
+      telemetry::ProcessTrace* trace = nullptr) {
+    EnsureCompiled();
+    return driver_.Process(packet, in_port, trace);
+  }
+  // Processes a batch of packets arriving on one port, reusing one scratch
+  // context across the whole batch. Results are identical to calling
+  // Process per packet in order.
+  Result<std::vector<telemetry::ProcessResult>> ProcessBatch(
+      std::span<net::Packet> packets, uint32_t in_port) {
+    EnsureCompiled();
+    return driver_.ProcessBatch(packets, in_port);
+  }
 
   // Port-level API: inject to RX, run, collect TX.
   net::PortSet& ports() { return ports_; }
   // Drains all RX queues through the pipeline; returns packets processed.
-  // With workers > 1 ports are sharded across that many threads (output is
+  // With workers > 1 ports are sharded across that many workers (output is
   // bit-identical to the serial drain; register-touching designs are
   // serialized to one worker to keep read-modify-write order deterministic).
-  Result<uint32_t> RunToCompletion(uint32_t workers = 1);
+  Result<uint32_t> RunToCompletion(uint32_t workers = 1) {
+    EnsureCompiled();
+    return driver_.RunToCompletion(design_uses_registers_ ? 1 : workers);
+  }
 
-  DeviceStats& stats() { return stats_; }
-  const DeviceStats& stats() const { return stats_; }
+  telemetry::DeviceStats& stats() { return stats_; }
+  const telemetry::DeviceStats& stats() const { return stats_; }
 
   // Telemetry: disabled by default (costs one branch per packet). Configure
   // sizes per-port metrics to this device's port count.
@@ -109,18 +120,11 @@ class PisaSwitch {
     }
   }
   arch::ExecMode exec_mode() const { return exec_mode_; }
-  // Back-compat spelling: pins every stage to the interpreter (RunStage).
-  void SetForceInterpreter(bool force) {
-    SetExecMode(force ? arch::ExecMode::kInterpret
-                      : arch::ExecMode::kSpecialize);
-  }
-  bool force_interpreter() const {
-    return exec_mode_ == arch::ExecMode::kInterpret;
-  }
 
   arch::RegisterFile& registers() { return regs_; }
 
   const arch::TableCatalog& catalog() const { return catalog_; }
+  const mem::Pool& pool() const { return pool_; }
 
   uint32_t physical_ingress_stages() const {
     return options_.physical_ingress_stages;
@@ -140,21 +144,12 @@ class PisaSwitch {
   // only mutator is LoadDesign, tracked by config_epoch_; catalog/action
   // versions are included for belt and braces).
   void EnsureCompiled();
-  // The per-packet pipeline walk; `ctx` is a reusable scratch context and
-  // `stats` the counter shard to charge (worker-local when parallel).
-  // `tshard` is the telemetry shard (null when telemetry is disabled).
-  Result<ProcessResult> ProcessCore(net::Packet& packet, uint32_t in_port,
-                                    arch::PacketContext& ctx,
-                                    DeviceStats& stats,
-                                    telemetry::MetricsShard* tshard,
-                                    ProcessTrace* trace);
-  // Runs one packet with `tshard` charged, sampling a trace when the
-  // collector's predicate fires (only consulted when `trace` is null).
-  Result<ProcessResult> ProcessSampled(net::Packet& packet, uint32_t in_port,
-                                       arch::PacketContext& ctx,
-                                       DeviceStats& stats,
-                                       telemetry::MetricsShard* tshard,
-                                       ProcessTrace* trace);
+  // The per-packet pipeline walk (PacketWalk).
+  Result<telemetry::ProcessResult> ProcessCore(
+      net::Packet& packet, uint32_t in_port, arch::PacketContext& ctx,
+      telemetry::DeviceStats& stats, telemetry::MetricsShard* tshard,
+      telemetry::ProcessTrace* trace) override;
+  uint64_t TraceEpoch() const override { return config_epoch_; }
 
   PisaOptions options_;
   mem::Pool pool_;
@@ -170,8 +165,9 @@ class PisaSwitch {
   std::vector<std::optional<arch::StageProgram>> egress_;
 
   net::PortSet ports_;
-  DeviceStats stats_;
+  telemetry::DeviceStats stats_;
   telemetry::Collector telemetry_;
+  DeviceDriver driver_{*this, ports_, stats_, telemetry_};
 
   // Compiled fast-path state (rebuilt lazily by EnsureCompiled). A slot is
   // nullopt when the physical stage is empty or its program could not be
@@ -193,7 +189,6 @@ class PisaSwitch {
   bool plan_valid_ = false;
   bool design_uses_registers_ = false;
   int ingress_port_slot_ = arch::Metadata::kInvalidSlot;
-  arch::PacketContext scratch_ctx_;
 };
 
 }  // namespace ipsa::pisa

@@ -48,6 +48,22 @@ mem::BitString MatchTable::PackRow(const Entry& e) const {
   return row;
 }
 
+void MatchTable::AddCounts(uint32_t block_row, uint64_t hits,
+                           uint64_t misses) const {
+  if (hits != 0) {
+    hits_.fetch_add(hits, std::memory_order_relaxed);
+    storage_.ChargeReads(*pool_, block_row, hits);
+  }
+  if (misses != 0) misses_.fetch_add(misses, std::memory_order_relaxed);
+}
+
+void LookupTally::Flush() {
+  for (const Cell& c : cells_) {
+    c.table->AddCounts(c.block_row, c.hits, c.misses);
+  }
+  cells_.clear();
+}
+
 CachedAction MatchTable::DecodeRow(uint32_t row) const {
   CachedAction a;
   auto bits = storage_.PeekRow(*pool_, row);

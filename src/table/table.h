@@ -45,6 +45,7 @@ struct LookupResult {
   uint32_t action_id = 0;
   mem::BitString action_data;
   uint32_t access_cycles = 0;  // charged pool/bus cycles for this lookup
+  uint32_t row = 0;            // pool row of a hit (read accounting)
 };
 
 // Decoded action bits cached beside a software-index row, so hits are served
@@ -55,14 +56,40 @@ struct CachedAction {
   mem::BitString action_data;
 };
 
-// Per-worker reusable lookup state: the key being built and the result being
-// filled. Holding these across packets is what makes the steady-state
-// match-action path allocation-free.
+class MatchTable;
+
+// Worker-local lookup counters. A packet worker counts each lookup here
+// rather than on the table's shared atomics, which every worker would
+// otherwise write on every packet, and Flush()es once at the end of its
+// call or drain share. Totals stay exact; only the moment they become
+// visible to hits()/misses()/Block::reads() moves.
+class LookupTally {
+ public:
+  void Count(const MatchTable& table, const LookupResult& r);
+  // Adds every pending count to the tables' shared counters and empties the
+  // tally. Must run before any counted table can be destroyed.
+  void Flush();
+
+ private:
+  // One table's lookups whose hits all read one grid row of its blocks.
+  struct Cell {
+    const MatchTable* table;
+    uint32_t block_row;
+    uint64_t hits;
+    uint64_t misses;
+  };
+  std::vector<Cell> cells_;  // a handful per pipeline: a linear scan wins
+};
+
+// Per-worker reusable lookup state: the key being built, the result being
+// filled and the counts not yet merged. Holding these across packets is
+// what makes the steady-state match-action path allocation-free.
 struct LookupScratch {
   mem::BitString key;
   LookupResult result;
   // The words a compiled key is assembled in before it is stored into `key`.
   std::vector<uint64_t> key_words;
+  LookupTally tally;
 };
 
 // A populated table entry as seen by the runtime API.
@@ -85,13 +112,13 @@ class MatchTable {
     return entry_count_.load(std::memory_order_relaxed);
   }
 
-  // Lookup statistics (read by the controller for visibility). Atomic so
-  // parallel run-to-completion workers can count concurrently.
+  // Lookup statistics (read by the controller for visibility). Packet
+  // workers count into a LookupTally and merge it through AddCounts.
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  void CountLookup(bool hit) const {
-    (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-  }
+  // Charges `hits` hits, all reading grid row `block_row` of the pool blocks
+  // (one read per grid column each), and `misses` misses.
+  void AddCounts(uint32_t block_row, uint64_t hits, uint64_t misses) const;
 
   // Upsert: a duplicate identity (key / prefix / masked key) updates the
   // existing entry in place, the historical behavior every caller relies on.
@@ -112,12 +139,19 @@ class MatchTable {
   virtual void EndBatch() {}
 
   // Fills `out` in place, reusing its BitString capacity — zero allocations
-  // in steady state. The hot-path entry point.
+  // in steady state. The hot-path entry point; it counts nothing, so the
+  // caller charges the result (a LookupTally, or AddCounts).
   virtual void LookupInto(const mem::BitString& key, LookupResult& out)
       const = 0;
+  // A one-off lookup, charged straight to the counters.
   LookupResult Lookup(const mem::BitString& key) const {
     LookupResult out;
     LookupInto(key, out);
+    if (out.hit) {
+      AddCounts(storage_.BlockRowOf(out.row), 1, 0);
+    } else {
+      AddCounts(0, 0, 1);
+    }
     return out;
   }
 
@@ -150,11 +184,11 @@ class MatchTable {
     r.access_cycles = storage_.AccessCycles(kBusWidthBits);
   }
 
-  // Fills a hit result from the decoded cache. The pool read statistics are
-  // still charged for `row` (one read per grid column, exactly what
-  // ReadRow counted), so the hardware throughput model is unchanged.
+  // Fills a hit result from the decoded cache. Counting the hit charges
+  // the pool reads of `row` (one per grid column, exactly what ReadRow
+  // counts), as if the row had been fetched.
   void HitInto(uint32_t row, const CachedAction& a, LookupResult& r) const {
-    (void)storage_.ChargeRead(*pool_, row);
+    r.row = row;
     r.hit = true;
     r.action_id = a.action_id;
     r.action_data = a.action_data;  // capacity-reusing copy
@@ -183,6 +217,18 @@ class MatchTable {
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
 };
+
+inline void LookupTally::Count(const MatchTable& table,
+                               const LookupResult& r) {
+  const uint32_t block_row = r.hit ? table.storage().BlockRowOf(r.row) : 0;
+  for (Cell& c : cells_) {
+    if (c.table == &table && c.block_row == block_row) {
+      ++(r.hit ? c.hits : c.misses);
+      return;
+    }
+  }
+  cells_.push_back(Cell{&table, block_row, r.hit ? 1u : 0u, r.hit ? 0u : 1u});
+}
 
 // Factory: allocates pool storage and builds the right subclass.
 Result<std::unique_ptr<MatchTable>> CreateTable(

@@ -27,18 +27,6 @@ void Collector::SetStages(std::vector<StageInfo> stages) {
   }
 }
 
-std::vector<MetricsShard> Collector::MakeWorkerShards(uint32_t workers) const {
-  std::vector<MetricsShard> shards(workers);
-  for (MetricsShard& s : shards) {
-    s.SizeTo(master_.ports.size(), master_.stages.size());
-  }
-  return shards;
-}
-
-void Collector::MergeWorkerShards(std::span<MetricsShard> shards) {
-  for (const MetricsShard& s : shards) master_.MergeFrom(s);
-}
-
 void Collector::OnUpdateWindow(uint64_t config_epoch, double wall_micros) {
   if (!config_.enabled) return;
   ++updates_;

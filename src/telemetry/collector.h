@@ -3,7 +3,7 @@
 // A behavioral device owns one Collector. When disabled (the default), the
 // only cost on the packet path is `shard() == nullptr` — one branch. When
 // enabled, the device:
-//   * passes shard() (or a per-worker shard from MakeWorkerShards) into its
+//   * passes shard() (or a worker shard from PrepareWorkerShard) into its
 //     ProcessCore so counters/histograms accumulate without atomics;
 //   * calls SetStages() from its EnsureCompiled so stage slots map to
 //     logical stage names (an unchanged layout keeps its counters across
@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -47,9 +46,14 @@ class Collector {
   // unchanged (same units and names); otherwise per-stage counters restart.
   void SetStages(std::vector<StageInfo> stages);
 
-  // Worker shards for a parallel drain, sized like the master.
-  std::vector<MetricsShard> MakeWorkerShards(uint32_t workers) const;
-  void MergeWorkerShards(std::span<MetricsShard> shards);
+  // A parallel drain worker's shard: zeroed and sized like the master
+  // before the worker's share, merged into the master after the join.
+  void PrepareWorkerShard(MetricsShard& shard) const {
+    shard.SizeTo(master_.ports.size(), master_.stages.size());
+  }
+  void MergeWorkerShard(const MetricsShard& shard) {
+    master_.MergeFrom(shard);
+  }
 
   // Reconfiguration windows (recorded only when enabled).
   void OnUpdateWindow(uint64_t config_epoch, double wall_micros);

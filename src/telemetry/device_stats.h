@@ -2,10 +2,9 @@
 // traffic (drives load-time accounting), packet/drop counts, cycle totals,
 // and the per-packet execution trace.
 //
-// These used to live in src/pisa, but nothing here is PISA-specific — the
-// IPSA device, the daemon backends, and the parallel executor all consume
-// them, so they live in the shared telemetry layer. src/pisa/device_stats.h
-// remains as an aliasing shim for existing ipsa::pisa:: spellings.
+// Nothing here is PISA-specific — both devices, the daemon backends, and the
+// shared device driver all consume them — so they live in the shared
+// telemetry layer.
 #pragma once
 
 #include <cstdint>

@@ -217,7 +217,7 @@ net::Packet V4Packet(uint32_t dst_low, uint16_t sport) {
 // nexthops (upsert — no miss window) while the main thread keeps pushing
 // packets for that destination. Every packet must egress on one of the two
 // ports; anything else means a lookup observed a half-published entry.
-void RunDeviceChurn(daemon::ArchKind arch, bool force_interpreter) {
+void RunDeviceChurn(daemon::ArchKind arch, bool interpret) {
   auto backend = daemon::MakeBackend(arch);
   auto installed = backend->Install(rpc::InstallKind::kBaseP4,
                                     controller::designs::BaseP4());
@@ -229,7 +229,8 @@ void RunDeviceChurn(daemon::ArchKind arch, bool force_interpreter) {
   for (const rpc::TableOp& op : ops) {
     ASSERT_TRUE(backend->ApplyTableOp(op).ok());
   }
-  backend->SetForceInterpreter(force_interpreter);
+  backend->SetExecMode(interpret ? arch::ExecMode::kInterpret
+                               : arch::ExecMode::kSpecialize);
 
   controller::BaselineConfig config;
   constexpr uint32_t kDst = 4;      // host table covers only 0..3: LPM decides
@@ -305,19 +306,19 @@ void RunDeviceChurn(daemon::ArchKind arch, bool force_interpreter) {
 }
 
 TEST(DeviceChurnTest, IpsaInterpreterOldOrNewRoute) {
-  RunDeviceChurn(daemon::ArchKind::kIpsa, /*force_interpreter=*/true);
+  RunDeviceChurn(daemon::ArchKind::kIpsa, /*interpret=*/true);
 }
 
 TEST(DeviceChurnTest, IpsaSpecializedOldOrNewRoute) {
-  RunDeviceChurn(daemon::ArchKind::kIpsa, /*force_interpreter=*/false);
+  RunDeviceChurn(daemon::ArchKind::kIpsa, /*interpret=*/false);
 }
 
 TEST(DeviceChurnTest, PisaInterpreterOldOrNewRoute) {
-  RunDeviceChurn(daemon::ArchKind::kPisa, /*force_interpreter=*/true);
+  RunDeviceChurn(daemon::ArchKind::kPisa, /*interpret=*/true);
 }
 
 TEST(DeviceChurnTest, PisaSpecializedOldOrNewRoute) {
-  RunDeviceChurn(daemon::ArchKind::kPisa, /*force_interpreter=*/false);
+  RunDeviceChurn(daemon::ArchKind::kPisa, /*interpret=*/false);
 }
 
 }  // namespace

@@ -131,7 +131,8 @@ std::vector<net::Packet> MakeWorkloadPackets(UseCase uc) {
   return packets;
 }
 
-void ExpectSameResult(const pisa::ProcessResult& a, const pisa::ProcessResult& b,
+void ExpectSameResult(const telemetry::ProcessResult& a,
+                      const telemetry::ProcessResult& b,
                       const std::string& what) {
   EXPECT_EQ(a.dropped, b.dropped) << what;
   EXPECT_EQ(a.marked, b.marked) << what;
@@ -141,8 +142,61 @@ void ExpectSameResult(const pisa::ProcessResult& a, const pisa::ProcessResult& b
   EXPECT_DOUBLE_EQ(a.pipeline_ii, b.pipeline_ii) << what;
 }
 
+// Every table's hit/miss counters and the read counter of every pool block
+// backing a table, in catalog order. Workers count lookups into local
+// tallies merged at the end of each call or drain share; these are the
+// merged totals.
+struct LookupCounters {
+  std::vector<std::string> tables;
+  std::vector<uint64_t> hits;
+  std::vector<uint64_t> misses;
+  std::vector<uint64_t> block_reads;
+};
+
+template <typename Device>
+LookupCounters CountersOf(Device& device) {
+  LookupCounters c;
+  const arch::TableCatalog& catalog = device.catalog();
+  for (const std::string& name : catalog.TableNames()) {
+    auto t = catalog.Get(name);
+    if (!t.ok()) continue;
+    c.tables.push_back(name);
+    c.hits.push_back((*t)->hits());
+    c.misses.push_back((*t)->misses());
+    for (uint32_t id : (*t)->storage().block_ids()) {
+      c.block_reads.push_back(device.pool().block(id).reads());
+    }
+  }
+  return c;
+}
+
+// The two devices ran the same packets, so every counter must agree; and
+// they must have counted something, or a tally that never merges would
+// pass as "equal".
+template <typename Device>
+void ExpectSameLookupCounters(Device& a, Device& b) {
+  LookupCounters ca = CountersOf(a);
+  LookupCounters cb = CountersOf(b);
+  ASSERT_EQ(ca.tables, cb.tables);
+  for (size_t i = 0; i < ca.tables.size(); ++i) {
+    EXPECT_EQ(ca.hits[i], cb.hits[i]) << "hits of " << ca.tables[i];
+    EXPECT_EQ(ca.misses[i], cb.misses[i]) << "misses of " << ca.tables[i];
+  }
+  EXPECT_EQ(ca.block_reads, cb.block_reads);
+  uint64_t lookups = 0, hits = 0, reads = 0;
+  for (size_t i = 0; i < ca.tables.size(); ++i) {
+    lookups += ca.hits[i] + ca.misses[i];
+    hits += ca.hits[i];
+  }
+  for (uint64_t r : ca.block_reads) reads += r;
+  EXPECT_GT(lookups, 0u);
+  // A hit reads one row from each grid column, so at least one block read.
+  EXPECT_GE(reads, hits);
+}
+
 // Process() one at a time on device A vs one ProcessBatch() on device B:
-// identical results and identical final packet bytes.
+// identical results, identical final packet bytes and identical lookup
+// counters.
 template <typename MakeSetup>
 void CheckSerialVsBatch(MakeSetup make, UseCase uc) {
   SCOPED_TRACE(UseCaseName(uc));
@@ -156,7 +210,7 @@ void CheckSerialVsBatch(MakeSetup make, UseCase uc) {
   std::vector<net::Packet> serial_pkts = MakeWorkloadPackets(uc);
   std::vector<net::Packet> batch_pkts = MakeWorkloadPackets(uc);
 
-  std::vector<pisa::ProcessResult> serial_results;
+  std::vector<telemetry::ProcessResult> serial_results;
   for (net::Packet& p : serial_pkts) {
     auto r = serial->device->Process(p, 1);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -172,10 +226,12 @@ void CheckSerialVsBatch(MakeSetup make, UseCase uc) {
     EXPECT_TRUE(serial_pkts[i] == batch_pkts[i])
         << "packet bytes diverged at " << i;
   }
+  ExpectSameLookupCounters(*serial->device, *batch->device);
 }
 
 // RunToCompletion(1) vs RunToCompletion(4) on identically-filled ports:
-// identical TX queues and identical device counters.
+// identical TX queues, identical device counters and identical lookup
+// counters.
 template <typename MakeSetup>
 void CheckSerialVsParallel(MakeSetup make, UseCase uc) {
   SCOPED_TRACE(UseCaseName(uc));
@@ -211,13 +267,14 @@ void CheckSerialVsParallel(MakeSetup make, UseCase uc) {
     }
   }
 
-  const pisa::DeviceStats& ss = serial->device->stats();
-  const pisa::DeviceStats& ps = parallel->device->stats();
+  const telemetry::DeviceStats& ss = serial->device->stats();
+  const telemetry::DeviceStats& ps = parallel->device->stats();
   EXPECT_EQ(ss.packets_in, ps.packets_in);
   EXPECT_EQ(ss.packets_out, ps.packets_out);
   EXPECT_EQ(ss.packets_dropped, ps.packets_dropped);
   EXPECT_EQ(ss.packets_marked, ps.packets_marked);
   EXPECT_EQ(ss.total_cycles, ps.total_cycles);
+  ExpectSameLookupCounters(*serial->device, *parallel->device);
 }
 
 TEST(FastPathDeterminism, IpbmSerialVsBatch) {
@@ -365,7 +422,7 @@ TEST(FastPathDeterminism, IpbmRecompileAcrossTemplateWrite) {
 
     auto process_range = [](auto& setup, std::vector<net::Packet>& pkts,
                             size_t from, size_t to,
-                            std::vector<pisa::ProcessResult>& out) {
+                            std::vector<telemetry::ProcessResult>& out) {
       for (size_t i = from; i < to; ++i) {
         auto r = setup->device->Process(pkts[i], 1);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -373,8 +430,8 @@ TEST(FastPathDeterminism, IpbmRecompileAcrossTemplateWrite) {
       }
     };
 
-    std::vector<pisa::ProcessResult> plain_results;
-    std::vector<pisa::ProcessResult> rewr_results;
+    std::vector<telemetry::ProcessResult> plain_results;
+    std::vector<telemetry::ProcessResult> rewr_results;
     size_t half = plain_pkts.size() / 2;
     process_range(plain, plain_pkts, 0, plain_pkts.size(), plain_results);
     process_range(rewritten, rewr_pkts, 0, half, rewr_results);
@@ -424,7 +481,7 @@ const char* ModeName(arch::ExecMode m) {
 template <typename MakeSetup>
 void CheckExecModeEquivalence(MakeSetup make, UseCase uc) {
   SCOPED_TRACE(UseCaseName(uc));
-  std::vector<std::vector<pisa::ProcessResult>> results(3);
+  std::vector<std::vector<telemetry::ProcessResult>> results(3);
   std::vector<std::vector<net::Packet>> pkts;
   for (size_t m = 0; m < 3; ++m) {
     net::Workload populate_workload(WorkloadFor(uc));
@@ -483,11 +540,11 @@ TEST(ExecModeEquivalence, IpbmModeFlipMidStreamIsSeamless) {
     std::vector<net::Packet> steady_pkts = MakeWorkloadPackets(uc);
     std::vector<net::Packet> flip_pkts = MakeWorkloadPackets(uc);
 
-    std::vector<pisa::ProcessResult> steady_results;
-    std::vector<pisa::ProcessResult> flip_results;
+    std::vector<telemetry::ProcessResult> steady_results;
+    std::vector<telemetry::ProcessResult> flip_results;
     auto process_range = [](auto& setup, std::vector<net::Packet>& pkts,
                             size_t from, size_t to,
-                            std::vector<pisa::ProcessResult>& out) {
+                            std::vector<telemetry::ProcessResult>& out) {
       for (size_t i = from; i < to; ++i) {
         auto r = setup->device->Process(pkts[i], 1);
         ASSERT_TRUE(r.ok()) << r.status().ToString();

@@ -62,7 +62,8 @@ class Rp4FlowTest : public ::testing::Test {
         controller::PopulateBaseline(controller_->api(), add, config_).ok());
   }
 
-  Result<pisa::ProcessResult> Send(net::Packet& packet, uint32_t port = 0) {
+  Result<telemetry::ProcessResult> Send(net::Packet& packet,
+                                        uint32_t port = 0) {
     return device_->Process(packet, port);
   }
 
@@ -371,7 +372,7 @@ TEST_F(Rp4FlowTest, TelemetryEncapsulatesMatchingFlows) {
 
 TEST_F(Rp4FlowTest, ProcessTraceRecordsStageExecution) {
   net::Packet p = MakeV4Packet(config_.v4_dst_base + 7);
-  pisa::ProcessTrace trace;
+  telemetry::ProcessTrace trace;
   auto result = device_->Process(p, 0, &trace);
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(trace.steps.empty());

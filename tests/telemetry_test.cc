@@ -299,7 +299,8 @@ TEST(Collector, WorkerShardMergeMatchesMaster) {
   serial.SetStages(layout);
   parallel.SetStages(layout);
 
-  std::vector<MetricsShard> workers = parallel.MakeWorkerShards(3);
+  std::vector<MetricsShard> workers(3);
+  for (MetricsShard& w : workers) parallel.PrepareWorkerShard(w);
   std::mt19937_64 rng(99);
   for (int i = 0; i < 2000; ++i) {
     uint32_t port = rng() % 4;
@@ -310,7 +311,7 @@ TEST(Collector, WorkerShardMergeMatchesMaster) {
     workers[i % 3].OnResult(port, r);
     workers[i % 3].OnStage(port % 2, true, hit);
   }
-  parallel.MergeWorkerShards(workers);
+  for (const MetricsShard& w : workers) parallel.MergeWorkerShard(w);
   EXPECT_EQ(*serial.shard(), *parallel.shard());
 }
 

@@ -196,8 +196,8 @@ class Session {
             .Udp(5555, 80)
             .Payload(32)
             .Build();
-    pisa::ProcessTrace trace;
-    IPSA_ASSIGN_OR_RETURN(pisa::ProcessResult r,
+    telemetry::ProcessTrace trace;
+    IPSA_ASSIGN_OR_RETURN(telemetry::ProcessResult r,
                           backend_.ProcessOne(p, 0, &trace));
     for (const auto& step : trace.steps) {
       std::printf("  TSP%-3u %-16s", step.unit, step.stage.c_str());

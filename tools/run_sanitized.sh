@@ -6,8 +6,9 @@
 #
 #   IPSA_SANITIZE     address (default): ASan + UBSan in build-asan/.
 #                     thread: TSan in build-tsan/ — the gate for the RCU
-#                     entry-publication paths; point it at the churn suite
-#                     with `-R ipsa_churn_test` for a quick data-race check.
+#                     entry-publication paths and the parallel drains; ctest
+#                     -R matches test names, e.g.
+#                     `-R 'FastPathDeterminism\.|ChurnTest\.|RcuDomainTest\.'`.
 #   --fuzz-seconds=N  after the suite, run a bounded rp4fuzz round (N seconds
 #                     of cases) with the sanitized binary; repro files land
 #                     in fuzz-artifacts/.
