@@ -5,20 +5,20 @@
 //
 // Variants per device:
 //   * Forwarding:  one packet at a time through Process() (the default
-//                  epoch-specialized pipeline plan).
+//                  mode: compiled stages in the pipeline plan).
 //   * Batch:       ProcessBatch() over 256 packets on one port.
-//   * *Generic:    same, but pinned to the generic compiled-stage walk
-//                  (SetExecMode(kCompile)) — the pre-specialization path,
-//                  kept measurable so the plan's win stays visible.
 //   * Drain/N:     RunToCompletion(N) draining all RX queues with N worker
 //                  threads (N = 1, 2, 4, 8). Scaling needs a multi-core
 //                  host; register-touching designs serialize to one worker.
 //
-// `bench_softswitch --smoke` is the CI gate: it times the batched path on
-// the base design under the specialized plan and under the generic walk,
-// and exits nonzero when the specialized median is >10% slower — the plan
-// must never regress below the path it replaced. Like bench_tables, the
-// gate refuses to run on a Debug build.
+// `bench_softswitch --smoke` is the CI gate that the compiled stages are in
+// use and pay for themselves: on the base design of each device it times
+// the batched path with the interpreter (kInterpret) and with the compiled
+// stages (kSpecialize) in alternating rounds after a discarded warm-up, and
+// exits nonzero unless the interpreter's median ns/pkt is at least 1.5x the
+// compiled median and no program fell back to the interpreter
+// (DeviceStats::interpreted_stages == 0). Like bench_tables, the gate
+// refuses to run on a Debug build.
 //
 // Besides the console table, results are written to BENCH_softswitch.json
 // (google-benchmark's JSON schema) for the evaluation scripts.
@@ -31,6 +31,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "arch/pipeline_plan.h"
@@ -162,54 +163,6 @@ void BM_IpbmBatch(benchmark::State& state) {
   RunBatch(state, *setup, uc);
 }
 
-void BM_PbmForwardingGeneric(benchmark::State& state) {
-  UseCase uc = static_cast<UseCase>(state.range(0));
-  auto setup = MakePisaSetup(uc);
-  if (!setup.ok()) {
-    state.SkipWithError(setup.status().ToString().c_str());
-    return;
-  }
-  setup->device->SetExecMode(arch::ExecMode::kCompile);
-  state.SetLabel(UseCaseName(uc));
-  RunPackets(state, *setup, uc);
-}
-
-void BM_IpbmForwardingGeneric(benchmark::State& state) {
-  UseCase uc = static_cast<UseCase>(state.range(0));
-  auto setup = MakeRp4Setup(uc);
-  if (!setup.ok()) {
-    state.SkipWithError(setup.status().ToString().c_str());
-    return;
-  }
-  setup->device->SetExecMode(arch::ExecMode::kCompile);
-  state.SetLabel(UseCaseName(uc));
-  RunPackets(state, *setup, uc);
-}
-
-void BM_PbmBatchGeneric(benchmark::State& state) {
-  UseCase uc = static_cast<UseCase>(state.range(0));
-  auto setup = MakePisaSetup(uc);
-  if (!setup.ok()) {
-    state.SkipWithError(setup.status().ToString().c_str());
-    return;
-  }
-  setup->device->SetExecMode(arch::ExecMode::kCompile);
-  state.SetLabel(UseCaseName(uc));
-  RunBatch(state, *setup, uc);
-}
-
-void BM_IpbmBatchGeneric(benchmark::State& state) {
-  UseCase uc = static_cast<UseCase>(state.range(0));
-  auto setup = MakeRp4Setup(uc);
-  if (!setup.ok()) {
-    state.SkipWithError(setup.status().ToString().c_str());
-    return;
-  }
-  setup->device->SetExecMode(arch::ExecMode::kCompile);
-  state.SetLabel(UseCaseName(uc));
-  RunBatch(state, *setup, uc);
-}
-
 void BM_PbmDrain(benchmark::State& state) {
   UseCase uc = static_cast<UseCase>(state.range(0));
   uint32_t workers = static_cast<uint32_t>(state.range(1));
@@ -252,50 +205,106 @@ void DrainArgs(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_PbmForwarding)->Apply(UseCaseArgs);
 BENCHMARK(BM_IpbmForwarding)->Apply(UseCaseArgs);
-BENCHMARK(BM_PbmForwardingGeneric)->Apply(UseCaseArgs);
-BENCHMARK(BM_IpbmForwardingGeneric)->Apply(UseCaseArgs);
 BENCHMARK(BM_PbmBatch)->Apply(UseCaseArgs);
 BENCHMARK(BM_IpbmBatch)->Apply(UseCaseArgs);
-BENCHMARK(BM_PbmBatchGeneric)->Apply(UseCaseArgs);
-BENCHMARK(BM_IpbmBatchGeneric)->Apply(UseCaseArgs);
 // Wall-clock time: the workers run off the main thread, so CPU time of the
 // calling thread would under-count multi-worker runs.
 BENCHMARK(BM_PbmDrain)->Apply(DrainArgs)->UseRealTime();
 BENCHMARK(BM_IpbmDrain)->Apply(DrainArgs)->UseRealTime();
 
 // ---------------------------------------------------------------------------
-// --smoke: specialized-vs-generic batched-path gate (no google-benchmark).
+// --smoke: compiled-stages-vs-interpreter gate (no google-benchmark).
 // ---------------------------------------------------------------------------
 
-// Median ns/packet for ProcessBatch on `uc` under `mode`. The first batch
-// outside the timed region absorbs the compile / plan build.
+struct SmokeResult {
+  double interp_ns = 0;  // median ns/pkt, interpreter rounds
+  double spec_ns = 0;    // median ns/pkt, compiled rounds
+  uint64_t interpreted_stages = 0;  // most seen after a compiled rebuild
+};
+
+// Times ProcessBatch over the base design's packets in alternating
+// interpreter and compiled rounds. Each round flips the mode (a config
+// change) and runs one untimed batch that absorbs the rebuild; the first
+// round of each mode is a discarded warm-up.
 template <typename Setup>
-Result<double> SmokeBatchNs(Setup& setup, arch::ExecMode mode, UseCase uc) {
-  setup.device->SetExecMode(mode);
-  std::vector<net::Packet> packets = MakePackets<Setup>(uc);
-  std::vector<net::Packet> scratch = packets;
-  IPSA_RETURN_IF_ERROR(
-      setup.device->ProcessBatch(std::span(scratch), 1).status());
-  constexpr int kRounds = 5;
+Result<SmokeResult> SmokeRounds(Setup& setup) {
+  constexpr int kRounds = 7;  // timed rounds per mode, after the warm-up
   constexpr int kIters = 40;
-  std::vector<double> rounds;
-  rounds.reserve(kRounds);
-  for (int r = 0; r < kRounds; ++r) {
-    double ns = 0;
-    int64_t pkts = 0;
-    for (int it = 0; it < kIters; ++it) {
-      scratch = packets;  // processing edits headers in place
-      auto t0 = std::chrono::steady_clock::now();
-      auto result = setup.device->ProcessBatch(std::span(scratch), 1);
-      auto t1 = std::chrono::steady_clock::now();
-      IPSA_RETURN_IF_ERROR(result.status());
-      ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
-      pkts += static_cast<int64_t>(scratch.size());
+  std::vector<net::Packet> packets = MakePackets<Setup>(UseCase::kBase);
+  std::vector<net::Packet> scratch;
+  std::vector<double> interp;
+  std::vector<double> spec;
+  SmokeResult out;
+  for (int r = 0; r <= kRounds; ++r) {
+    for (arch::ExecMode mode :
+         {arch::ExecMode::kInterpret, arch::ExecMode::kSpecialize}) {
+      setup.device->SetExecMode(mode);
+      scratch = packets;
+      IPSA_RETURN_IF_ERROR(
+          setup.device->ProcessBatch(std::span(scratch), 1).status());
+      if (mode == arch::ExecMode::kSpecialize) {
+        out.interpreted_stages = std::max(
+            out.interpreted_stages, setup.device->stats().interpreted_stages);
+      }
+      double ns = 0;
+      int64_t pkts = 0;
+      for (int it = 0; it < kIters; ++it) {
+        scratch = packets;  // processing edits headers in place
+        auto t0 = std::chrono::steady_clock::now();
+        auto result = setup.device->ProcessBatch(std::span(scratch), 1);
+        auto t1 = std::chrono::steady_clock::now();
+        IPSA_RETURN_IF_ERROR(result.status());
+        ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
+        pkts += static_cast<int64_t>(scratch.size());
+      }
+      if (r == 0) continue;  // warm-up
+      (mode == arch::ExecMode::kInterpret ? interp : spec)
+          .push_back(ns / static_cast<double>(pkts));
     }
-    rounds.push_back(ns / static_cast<double>(pkts));
   }
-  std::sort(rounds.begin(), rounds.end());
-  return rounds[kRounds / 2];
+  std::sort(interp.begin(), interp.end());
+  std::sort(spec.begin(), spec.end());
+  out.interp_ns = interp[kRounds / 2];
+  out.spec_ns = spec[kRounds / 2];
+  return out;
+}
+
+template <typename Setup>
+bool SmokeGate(const char* device, Result<Setup> setup) {
+  constexpr double kMinSpeedup = 1.5;
+  if (!setup.ok()) {
+    std::fprintf(stderr, "FAIL: %s setup: %s\n", device,
+                 setup.status().ToString().c_str());
+    return false;
+  }
+  auto rounds = SmokeRounds(*setup);
+  if (!rounds.ok()) {
+    std::fprintf(stderr, "FAIL: %s: %s\n", device,
+                 rounds.status().ToString().c_str());
+    return false;
+  }
+  double speedup = rounds->interp_ns / rounds->spec_ns;
+  std::printf(
+      "%-5s batch(base): interpreter %7.1f ns/pkt  compiled %7.1f ns/pkt "
+      "(%6.2f Mpps)  speedup %.2fx  interpreted stages %llu\n",
+      device, rounds->interp_ns, rounds->spec_ns, 1e3 / rounds->spec_ns,
+      speedup, static_cast<unsigned long long>(rounds->interpreted_stages));
+  bool ok = true;
+  if (speedup < kMinSpeedup) {
+    std::fprintf(stderr,
+                 "FAIL: %s compiled stages are only %.2fx faster than the "
+                 "interpreter (need %.1fx)\n",
+                 device, speedup, kMinSpeedup);
+    ok = false;
+  }
+  if (rounds->interpreted_stages != 0) {
+    std::fprintf(stderr,
+                 "FAIL: %s ran %llu program(s) on the interpreter fallback\n",
+                 device,
+                 static_cast<unsigned long long>(rounds->interpreted_stages));
+    ok = false;
+  }
+  return ok;
 }
 
 int SmokeMain() {
@@ -303,52 +312,8 @@ int SmokeMain() {
   std::fprintf(stderr, "--smoke refuses to gate on a Debug build.\n");
   return 1;
 #else
-  constexpr double kMaxRatio = 1.10;  // >10% regression fails
-  bool ok = true;
-  auto gate = [&](const char* device, double spec_ns, double generic_ns) {
-    double ratio = spec_ns / generic_ns;
-    std::printf(
-        "%-5s batch(base): specialized %7.1f ns/pkt (%6.2f Mpps)  "
-        "generic %7.1f ns/pkt (%6.2f Mpps)  ratio %.3f\n",
-        device, spec_ns, 1e3 / spec_ns, generic_ns, 1e3 / generic_ns, ratio);
-    if (ratio > kMaxRatio) {
-      std::fprintf(stderr,
-                   "FAIL: %s specialized batched path is %.1f%% slower than "
-                   "the generic walk (limit %.0f%%)\n",
-                   device, (ratio - 1.0) * 100.0, (kMaxRatio - 1.0) * 100.0);
-      ok = false;
-    }
-  };
-
-  auto pbm = MakePisaSetup(UseCase::kBase);
-  if (!pbm.ok()) {
-    std::fprintf(stderr, "pbm setup: %s\n", pbm.status().ToString().c_str());
-    return 1;
-  }
-  auto pbm_spec = SmokeBatchNs(*pbm, arch::ExecMode::kSpecialize,
-                               UseCase::kBase);
-  auto pbm_gen = SmokeBatchNs(*pbm, arch::ExecMode::kCompile, UseCase::kBase);
-  if (!pbm_spec.ok() || !pbm_gen.ok()) {
-    std::fprintf(stderr, "pbm smoke run failed\n");
-    return 1;
-  }
-  gate("pbm", *pbm_spec, *pbm_gen);
-
-  auto ipbm = MakeRp4Setup(UseCase::kBase);
-  if (!ipbm.ok()) {
-    std::fprintf(stderr, "ipbm setup: %s\n", ipbm.status().ToString().c_str());
-    return 1;
-  }
-  auto ipbm_spec = SmokeBatchNs(*ipbm, arch::ExecMode::kSpecialize,
-                                UseCase::kBase);
-  auto ipbm_gen = SmokeBatchNs(*ipbm, arch::ExecMode::kCompile,
-                               UseCase::kBase);
-  if (!ipbm_spec.ok() || !ipbm_gen.ok()) {
-    std::fprintf(stderr, "ipbm smoke run failed\n");
-    return 1;
-  }
-  gate("ipbm", *ipbm_spec, *ipbm_gen);
-
+  bool ok = SmokeGate("pbm", MakePisaSetup(UseCase::kBase));
+  ok = SmokeGate("ipbm", MakeRp4Setup(UseCase::kBase)) && ok;
   std::printf("smoke gate: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 #endif

@@ -1,29 +1,29 @@
-// Epoch-specialized pipeline execution plans.
+// Epoch-specialized pipeline execution plans: the one per-packet walk of
+// both behavioral devices.
 //
-// CompileStage (compiled_stage.h) removed the per-packet name resolution
-// inside one stage; the devices still walked a generic per-packet loop over
-// their physical structure — every empty PISA stage cost a branch, every
-// telemetry/trace hook a test, and the TSP/stage topology was re-derived
-// from vectors of optionals on each packet. A PipelinePlan lowers the whole
-// installed template into a straight-line walk at config-epoch commit:
+// CompileStage (compiled_stage.h) removes the per-packet name resolution
+// inside one stage; a PipelinePlan removes it between stages. At
+// config-epoch commit the owning device lowers its installed template into
+// a straight-line walk:
 //
 //   * dead-stage elision — empty physical stages disappear from the walk;
 //     their mandatory traversal cycles are folded into the next active
 //     group's `entry_cycles` (or the side's `*_tail_cycles` when the
 //     pipeline ends in empties), so the cycle ledger stays bit-identical
-//     to the generic loop;
+//     to traversing every physical stage (the cycle-ledger test pins it);
 //   * pre-resolved program pointers — each PlanProgram carries the compiled
-//     stage (or the interpreter source as fallback) plus its telemetry
-//     slot, so the packet path chases no optionals;
+//     stage (or null, running the interpreter on its source) plus its
+//     telemetry slot, so the packet path chases no optionals;
 //   * observer specialization — RunPlan is templated over an Observer
 //     policy; the null observer compiles the telemetry and trace hooks out
-//     of the loop entirely, the device instantiates the right variant once
-//     per batch.
+//     of the loop entirely (telemetry/plan_observers.h picks one per packet).
 //
-// Like the compiled stages the plan dangles on any CCM mutation: the owning
-// switch rebuilds it in EnsureCompiled under the same epoch key, and any
-// packet processed between mutation and rebuild runs the generic
-// interpreter walk (ExecMode::kInterpret / kCompile).
+// Every ExecMode walks the plan. kInterpret builds it with every
+// `PlanProgram::compiled == nullptr`, so RunStage — the name-resolving
+// interpreter — stays the per-stage reference the differential oracle
+// compares the compiled stages against. Like the compiled stages the plan
+// dangles on any CCM mutation: the owning device rebuilds both in
+// EnsureCompiled under the same epoch key before the next packet.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +37,11 @@
 
 namespace ipsa::arch {
 
-// How a device executes its installed template. The differential fuzzing
+// How a device executes the programs of its plan. The differential fuzzing
 // harness pins devices to each mode and asserts bit-identical outputs.
 enum class ExecMode {
   kInterpret,   // name-resolving interpreter (RunStage) for every program
-  kCompile,     // compiled stages, generic per-packet structure walk
-  kSpecialize,  // compiled stages driven by the flattened PipelinePlan
+  kSpecialize,  // compiled stages (interpreter fallback per program)
 };
 
 // One stage program inside a plan group. `compiled == nullptr` means the
@@ -66,8 +65,8 @@ struct PipelinePlan {
   std::vector<PlanGroup> ingress;
   std::vector<PlanGroup> egress;
   // Elided empty stages *after* the last active group of a side; charged
-  // only when the packet was not dropped (the generic loop's drop-break
-  // skips them too).
+  // only when the packet was not dropped (a drop leaves the pipeline before
+  // reaching them).
   uint32_t ingress_tail_cycles = 0;
   uint32_t egress_tail_cycles = 0;
   // Traffic-manager cycles between the sides (IPSA charges 1, PISA 0).
@@ -94,9 +93,9 @@ struct PlanNullObserver {
                  const StageRunStats&) const {}
 };
 
-// Executes one packet through the plan. Cycle accounting, drop semantics
-// and per-stage side effects are bit-identical to the devices' generic
-// walks; the specialization regression tests pin this.
+// Executes one packet through the plan. Cycle accounting and drop
+// semantics model a walk over every physical stage; the cycle-ledger test
+// pins them to hand-computed constants.
 template <typename Observer>
 Result<PlanRunStats> RunPlan(const PipelinePlan& plan, PacketContext& ctx,
                              const TableCatalog& catalog,
@@ -131,7 +130,7 @@ Result<PlanRunStats> RunPlan(const PipelinePlan& plan, PacketContext& ctx,
         if (ii > out.worst_ii) out.worst_ii = ii;
       }
       // A drop ends the side immediately; trailing elided stages are never
-      // reached (the generic loop breaks before charging them).
+      // reached.
       if (ctx.dropped()) return OkStatus();
     }
     ctx.ChargeCycles(tail_cycles);

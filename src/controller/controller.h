@@ -36,6 +36,8 @@ struct FlowTiming {
 
 class Rp4FlowController {
  public:
+  using Options = compiler::Rp4bcOptions;
+
   Rp4FlowController(ipbm::IpbmSwitch& device, compiler::Rp4bcOptions options)
       : device_(&device), options_(std::move(options)) {}
 
@@ -79,6 +81,8 @@ class Rp4FlowController {
 
 class PisaFlowController {
  public:
+  using Options = compiler::PisaBackendOptions;
+
   PisaFlowController(pisa::PisaSwitch& device,
                      compiler::PisaBackendOptions options)
       : device_(&device), options_(std::move(options)) {}

@@ -6,7 +6,7 @@ namespace ipsa::daemon {
 
 namespace {
 
-// Shared between both backends: device counters + per-table stats.
+// Device counters + per-table stats.
 rpc::StatsResponse StatsFrom(const telemetry::DeviceStats& st,
                              const arch::TableCatalog& catalog) {
   rpc::StatsResponse resp;
@@ -132,131 +132,35 @@ Result<std::vector<TxPacket>> InjectAndDrain(DeviceBackend& dev,
   return CollectTx(dev.ports());
 }
 
-// --- IpsaBackend -------------------------------------------------------------
+// --- SwitchBackend -----------------------------------------------------------
 
-IpsaBackend::IpsaBackend(ipbm::IpbmOptions options,
-                         compiler::Rp4bcOptions compiler_options)
-    : device_(options), controller_(device_, std::move(compiler_options)) {}
+template <>
+const ArchKind IpsaBackend::kArch = ArchKind::kIpsa;
+template <>
+const ArchKind PisaBackend::kArch = ArchKind::kPisa;
 
-rpc::BackendInfo IpsaBackend::Info() {
-  rpc::BackendInfo info;
-  info.arch = std::string(ArchName(ArchKind::kIpsa));
-  info.port_count = device_.ports().count();
-  info.has_design = has_design_;
-  info.epoch = epoch_;
-  return info;
-}
-
-Result<rpc::InstallOutcome> IpsaBackend::Install(rpc::InstallKind kind,
+template <>
+Result<controller::FlowTiming> IpsaBackend::Load(rpc::InstallKind kind,
                                                  const std::string& source) {
-  Result<controller::FlowTiming> timing = InvalidArgument("unset");
   switch (kind) {
     case rpc::InstallKind::kBaseP4:
-      timing = controller_.LoadBaseFromP4(source);
-      break;
+      return controller_.LoadBaseFromP4(source);
     case rpc::InstallKind::kBaseRp4:
-      timing = controller_.LoadBaseFromRp4(source);
-      break;
+      return controller_.LoadBaseFromRp4(source);
     case rpc::InstallKind::kScript:
       if (!has_design_) {
         return FailedPrecondition("no base design to update");
       }
       // Snippet file names inside the script resolve against the built-in
       // designs (ecmp.rp4 / srv6.rp4 / probe.rp4 / ...).
-      timing = controller_.ApplyScript(source,
-                                       controller::designs::ResolveSnippet);
-      break;
+      return controller_.ApplyScript(source,
+                                     controller::designs::ResolveSnippet);
   }
-  IPSA_RETURN_IF_ERROR(timing.status());
-  has_design_ = true;
-  ++epoch_;
-  rpc::InstallOutcome out;
-  out.compile_ms = timing->compile_ms;
-  out.load_ms = timing->load_ms;
-  out.epoch = epoch_;
-  return out;
+  return InvalidArgument("bad install kind");
 }
 
-Status IpsaBackend::ApplyTableOp(const rpc::TableOp& op) {
-  if (!has_design_) return FailedPrecondition("no design installed");
-  return ApplyOne(op, /*strict_add=*/false);
-}
-
-Status IpsaBackend::ApplyOne(const rpc::TableOp& op, bool strict_add) {
-  switch (op.op) {
-    case rpc::TableOpKind::kAdd:
-      return controller_.AddEntry(op.table, op.entry, /*upsert=*/!strict_add);
-    case rpc::TableOpKind::kModify: {
-      Status erased = device_.EraseEntry(op.table, op.entry);
-      if (!erased.ok() && erased.code() != StatusCode::kNotFound) {
-        return erased;
-      }
-      return controller_.AddEntry(op.table, op.entry);
-    }
-    case rpc::TableOpKind::kDelete:
-      return device_.EraseEntry(op.table, op.entry);
-  }
-  return InvalidArgument("bad table op");
-}
-
-Result<rpc::TableBulkResponse> IpsaBackend::ApplyTableBulk(
-    const rpc::TableBulkRequest& req) {
-  if (!has_design_) return FailedPrecondition("no design installed");
-  return ApplyBulkFrame(device_, req, [this](const rpc::TableOp& op) {
-    return ApplyOne(op, /*strict_add=*/true);
-  });
-}
-
-Result<compiler::ApiSpec> IpsaBackend::Api() {
-  if (!has_design_) return FailedPrecondition("no design installed");
-  return controller_.api();
-}
-
-Result<rpc::StatsResponse> IpsaBackend::QueryStats() {
-  return StatsFrom(device_.stats(), device_.catalog());
-}
-
-Result<uint32_t> IpsaBackend::Drain(uint32_t workers) {
-  return device_.RunToCompletion(workers);
-}
-
-Result<rpc::MetricsResponse> IpsaBackend::QueryMetrics() {
-  rpc::MetricsResponse resp;
-  resp.arch = std::string(ArchName(ArchKind::kIpsa));
-  resp.snapshot =
-      device_.telemetry().Snapshot(device_.config_epoch(), device_.stats());
-  FillTableRows(device_.catalog(), resp.snapshot);
-  return resp;
-}
-
-Result<rpc::TracesResponse> IpsaBackend::DrainTraces(uint32_t max) {
-  if (max == 0 || max > rpc::kMaxTraceRecords) max = rpc::kMaxTraceRecords;
-  rpc::TracesResponse resp;
-  resp.traces = device_.telemetry().DrainTraces(max);
-  return resp;
-}
-
-Status IpsaBackend::ResetMetrics() {
-  device_.telemetry().Reset();
-  return OkStatus();
-}
-
-// --- PisaBackend -------------------------------------------------------------
-
-PisaBackend::PisaBackend(pisa::PisaOptions options,
-                         compiler::PisaBackendOptions compiler_options)
-    : device_(options), controller_(device_, std::move(compiler_options)) {}
-
-rpc::BackendInfo PisaBackend::Info() {
-  rpc::BackendInfo info;
-  info.arch = std::string(ArchName(ArchKind::kPisa));
-  info.port_count = device_.ports().count();
-  info.has_design = has_design_;
-  info.epoch = epoch_;
-  return info;
-}
-
-Result<rpc::InstallOutcome> PisaBackend::Install(rpc::InstallKind kind,
+template <>
+Result<controller::FlowTiming> PisaBackend::Load(rpc::InstallKind kind,
                                                  const std::string& source) {
   if (kind != rpc::InstallKind::kBaseP4) {
     // The whole point of the baseline: no incremental surface. A "runtime
@@ -265,8 +169,23 @@ Result<rpc::InstallOutcome> PisaBackend::Install(rpc::InstallKind kind,
         "pisa accepts only full P4 programs (kBaseP4); recompile the whole "
         "design to change it");
   }
-  IPSA_ASSIGN_OR_RETURN(controller::FlowTiming timing,
-                        controller_.CompileAndLoad(source));
+  return controller_.CompileAndLoad(source);
+}
+
+template <typename Device, typename Controller>
+rpc::BackendInfo SwitchBackend<Device, Controller>::Info() {
+  rpc::BackendInfo info;
+  info.arch = std::string(ArchName(kArch));
+  info.port_count = device_.ports().count();
+  info.has_design = has_design_;
+  info.epoch = epoch_;
+  return info;
+}
+
+template <typename Device, typename Controller>
+Result<rpc::InstallOutcome> SwitchBackend<Device, Controller>::Install(
+    rpc::InstallKind kind, const std::string& source) {
+  IPSA_ASSIGN_OR_RETURN(controller::FlowTiming timing, Load(kind, source));
   has_design_ = true;
   ++epoch_;
   rpc::InstallOutcome out;
@@ -276,16 +195,20 @@ Result<rpc::InstallOutcome> PisaBackend::Install(rpc::InstallKind kind,
   return out;
 }
 
-Status PisaBackend::ApplyTableOp(const rpc::TableOp& op) {
+template <typename Device, typename Controller>
+Status SwitchBackend<Device, Controller>::ApplyTableOp(
+    const rpc::TableOp& op) {
   if (!has_design_) return FailedPrecondition("no design installed");
   return ApplyOne(op, /*strict_add=*/false);
 }
 
-Status PisaBackend::ApplyOne(const rpc::TableOp& op, bool strict_add) {
+template <typename Device, typename Controller>
+Status SwitchBackend<Device, Controller>::ApplyOne(const rpc::TableOp& op,
+                                                   bool strict_add) {
   switch (op.op) {
     case rpc::TableOpKind::kAdd:
-      // Goes through the flow controller so the shadow store keeps a copy
-      // for repopulation after the next full reload.
+      // Goes through the flow controller, so pbm's shadow store keeps a
+      // copy for repopulation after the next full reload.
       return controller_.AddEntry(op.table, op.entry, /*upsert=*/!strict_add);
     case rpc::TableOpKind::kModify: {
       Status erased = device_.EraseEntry(op.table, op.entry);
@@ -295,15 +218,16 @@ Status PisaBackend::ApplyOne(const rpc::TableOp& op, bool strict_add) {
       return controller_.AddEntry(op.table, op.entry);
     }
     case rpc::TableOpKind::kDelete:
-      // Device-only: the shadow keeps the entry and restores it on the next
-      // reload, mirroring how a real driver's delete bypasses the
+      // Device-only: pbm's shadow keeps the entry and restores it on the
+      // next reload, mirroring how a real driver's delete bypasses the
       // controller's repopulation snapshot unless the controller is told.
       return device_.EraseEntry(op.table, op.entry);
   }
   return InvalidArgument("bad table op");
 }
 
-Result<rpc::TableBulkResponse> PisaBackend::ApplyTableBulk(
+template <typename Device, typename Controller>
+Result<rpc::TableBulkResponse> SwitchBackend<Device, Controller>::ApplyTableBulk(
     const rpc::TableBulkRequest& req) {
   if (!has_design_) return FailedPrecondition("no design installed");
   return ApplyBulkFrame(device_, req, [this](const rpc::TableOp& op) {
@@ -311,39 +235,49 @@ Result<rpc::TableBulkResponse> PisaBackend::ApplyTableBulk(
   });
 }
 
-Result<compiler::ApiSpec> PisaBackend::Api() {
+template <typename Device, typename Controller>
+Result<compiler::ApiSpec> SwitchBackend<Device, Controller>::Api() {
   if (!has_design_) return FailedPrecondition("no design installed");
   return controller_.api();
 }
 
-Result<rpc::StatsResponse> PisaBackend::QueryStats() {
+template <typename Device, typename Controller>
+Result<rpc::StatsResponse> SwitchBackend<Device, Controller>::QueryStats() {
   return StatsFrom(device_.stats(), device_.catalog());
 }
 
-Result<uint32_t> PisaBackend::Drain(uint32_t workers) {
+template <typename Device, typename Controller>
+Result<uint32_t> SwitchBackend<Device, Controller>::Drain(uint32_t workers) {
   return device_.RunToCompletion(workers);
 }
 
-Result<rpc::MetricsResponse> PisaBackend::QueryMetrics() {
+template <typename Device, typename Controller>
+Result<rpc::MetricsResponse> SwitchBackend<Device, Controller>::QueryMetrics() {
   rpc::MetricsResponse resp;
-  resp.arch = std::string(ArchName(ArchKind::kPisa));
+  resp.arch = std::string(ArchName(kArch));
   resp.snapshot =
       device_.telemetry().Snapshot(device_.config_epoch(), device_.stats());
   FillTableRows(device_.catalog(), resp.snapshot);
   return resp;
 }
 
-Result<rpc::TracesResponse> PisaBackend::DrainTraces(uint32_t max) {
+template <typename Device, typename Controller>
+Result<rpc::TracesResponse> SwitchBackend<Device, Controller>::DrainTraces(
+    uint32_t max) {
   if (max == 0 || max > rpc::kMaxTraceRecords) max = rpc::kMaxTraceRecords;
   rpc::TracesResponse resp;
   resp.traces = device_.telemetry().DrainTraces(max);
   return resp;
 }
 
-Status PisaBackend::ResetMetrics() {
+template <typename Device, typename Controller>
+Status SwitchBackend<Device, Controller>::ResetMetrics() {
   device_.telemetry().Reset();
   return OkStatus();
 }
+
+template class SwitchBackend<ipbm::IpbmSwitch, controller::Rp4FlowController>;
+template class SwitchBackend<pisa::PisaSwitch, controller::PisaFlowController>;
 
 std::unique_ptr<DeviceBackend> MakeBackend(ArchKind arch,
                                            const PoolTuning& tuning) {

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/pipeline_plan.h"
@@ -43,7 +44,8 @@ class DeviceBackend : public rpc::Backend {
   virtual void ConfigureTelemetry(const telemetry::TelemetryConfig& config) = 0;
   // Pins the hosted device's execution mode: kInterpret is the
   // name-resolving interpreter (the reference configuration every
-  // differential oracle compares against), kSpecialize the default plan.
+  // differential oracle compares against), kSpecialize the compiled stages
+  // (the default). Both walk the same pipeline plan.
   // Flipping it invalidates compiled state like any other config change.
   virtual void SetExecMode(arch::ExecMode mode) = 0;
 };
@@ -70,10 +72,16 @@ Result<std::vector<TxPacket>> InjectAndDrain(DeviceBackend& dev,
                                              uint32_t in_port,
                                              uint32_t workers = 1);
 
-class IpsaBackend : public DeviceBackend {
+// The rpc::Backend over one behavioral device and its flow controller. The
+// arches differ only in how Install loads a design (ipbm takes in-situ
+// scripts, pbm only full reloads) and in their name; the rest is one
+// implementation, instantiated for each arch in backends.cc.
+template <typename Device, typename Controller>
+class SwitchBackend : public DeviceBackend {
  public:
-  explicit IpsaBackend(ipbm::IpbmOptions options = {},
-                       compiler::Rp4bcOptions compiler_options = {});
+  explicit SwitchBackend(typename Device::Options options = {},
+                         typename Controller::Options compiler_options = {})
+      : device_(options), controller_(device_, std::move(compiler_options)) {}
 
   // rpc::Backend
   rpc::BackendInfo Info() override;
@@ -94,8 +102,9 @@ class IpsaBackend : public DeviceBackend {
   Result<uint32_t> RunToCompletion(uint32_t workers) override {
     return device_.RunToCompletion(workers);
   }
-  Result<telemetry::ProcessResult> ProcessOne(net::Packet& packet, uint32_t in_port,
-                                         telemetry::ProcessTrace* trace) override {
+  Result<telemetry::ProcessResult> ProcessOne(
+      net::Packet& packet, uint32_t in_port,
+      telemetry::ProcessTrace* trace) override {
     return device_.Process(packet, in_port, trace);
   }
   const arch::TableCatalog& catalog() const override {
@@ -108,63 +117,26 @@ class IpsaBackend : public DeviceBackend {
     device_.SetExecMode(mode);
   }
 
-  ipbm::IpbmSwitch& device() { return device_; }
-  controller::Rp4FlowController& controller() { return controller_; }
+  Device& device() { return device_; }
+  Controller& controller() { return controller_; }
 
  private:
+  static const ArchKind kArch;
+  // The per-arch half of Install: runs the design flow for `kind`.
+  Result<controller::FlowTiming> Load(rpc::InstallKind kind,
+                                      const std::string& source);
   Status ApplyOne(const rpc::TableOp& op, bool strict_add);
-  ipbm::IpbmSwitch device_;
-  controller::Rp4FlowController controller_;
+
+  Device device_;
+  Controller controller_;
   uint64_t epoch_ = 0;
   bool has_design_ = false;
 };
 
-class PisaBackend : public DeviceBackend {
- public:
-  explicit PisaBackend(pisa::PisaOptions options = {},
-                       compiler::PisaBackendOptions compiler_options = {});
-
-  rpc::BackendInfo Info() override;
-  Result<rpc::InstallOutcome> Install(rpc::InstallKind kind,
-                                      const std::string& source) override;
-  Status ApplyTableOp(const rpc::TableOp& op) override;
-  Result<rpc::TableBulkResponse> ApplyTableBulk(
-      const rpc::TableBulkRequest& req) override;
-  Result<compiler::ApiSpec> Api() override;
-  Result<rpc::StatsResponse> QueryStats() override;
-  Result<uint32_t> Drain(uint32_t workers) override;
-  Result<rpc::MetricsResponse> QueryMetrics() override;
-  Result<rpc::TracesResponse> DrainTraces(uint32_t max) override;
-  Status ResetMetrics() override;
-
-  net::PortSet& ports() override { return device_.ports(); }
-  Result<uint32_t> RunToCompletion(uint32_t workers) override {
-    return device_.RunToCompletion(workers);
-  }
-  Result<telemetry::ProcessResult> ProcessOne(net::Packet& packet, uint32_t in_port,
-                                         telemetry::ProcessTrace* trace) override {
-    return device_.Process(packet, in_port, trace);
-  }
-  const arch::TableCatalog& catalog() const override {
-    return device_.catalog();
-  }
-  void ConfigureTelemetry(const telemetry::TelemetryConfig& config) override {
-    device_.ConfigureTelemetry(config);
-  }
-  void SetExecMode(arch::ExecMode mode) override {
-    device_.SetExecMode(mode);
-  }
-
-  pisa::PisaSwitch& device() { return device_; }
-  controller::PisaFlowController& controller() { return controller_; }
-
- private:
-  Status ApplyOne(const rpc::TableOp& op, bool strict_add);
-  pisa::PisaSwitch device_;
-  controller::PisaFlowController controller_;
-  uint64_t epoch_ = 0;
-  bool has_design_ = false;
-};
+using IpsaBackend =
+    SwitchBackend<ipbm::IpbmSwitch, controller::Rp4FlowController>;
+using PisaBackend =
+    SwitchBackend<pisa::PisaSwitch, controller::PisaFlowController>;
 
 // Optional pool sizing overrides (0 = keep the arch default). Million-entry
 // tables need far deeper pools than the defaults; the daemon exposes these

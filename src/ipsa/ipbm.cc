@@ -2,8 +2,6 @@
 
 #include <chrono>
 
-#include "arch/ii_model.h"
-#include "arch/parse_engine.h"
 #include "telemetry/plan_observers.h"
 #include "util/logging.h"
 
@@ -282,32 +280,20 @@ void IpbmSwitch::EnsureCompiled() {
     for (const arch::StageProgram& program : pipeline_.tsp(id).programs()) {
       CompiledProgram cp;
       cp.source = &program;
-      if (exec_mode_ == arch::ExecMode::kInterpret) {
-        cp.uses_registers = arch::StageMayUseRegisters(program, actions_);
-        compiled_tsps_[id].push_back(std::move(cp));
-        continue;
+      if (exec_mode_ == arch::ExecMode::kSpecialize) {
+        auto compiled = arch::CompileStage(program, catalog_, actions_,
+                                           registry_, metadata_proto_);
+        if (compiled.ok()) {
+          cp.uses_registers = compiled->uses_registers;
+          cp.compiled = std::move(compiled).value();
+        } else {
+          ++stats_.interpreted_stages;
+        }
       }
-      auto compiled = arch::CompileStage(program, catalog_, actions_,
-                                         registry_, metadata_proto_);
-      if (compiled.ok()) {
-        cp.uses_registers = compiled->uses_registers;
-        cp.compiled = std::move(compiled).value();
-      } else {
+      if (!cp.compiled.has_value()) {
         cp.uses_registers = arch::StageMayUseRegisters(program, actions_);
-        ++stats_.interpreted_stages;
       }
       compiled_tsps_[id].push_back(std::move(cp));
-    }
-  }
-
-  ingress_ids_ = pipeline_.IngressIds();
-  egress_ids_ = pipeline_.EgressIds();
-  pipeline_uses_registers_ = false;
-  for (const std::vector<uint32_t>* side : {&ingress_ids_, &egress_ids_}) {
-    for (uint32_t id : *side) {
-      for (const CompiledProgram& cp : compiled_tsps_[id]) {
-        pipeline_uses_registers_ |= cp.uses_registers;
-      }
     }
   }
 
@@ -316,46 +302,48 @@ void IpbmSwitch::EnsureCompiled() {
   compiled_key_ = key;
 
   // Telemetry stage slots: the TSP programs flattened in id order. A TSP's
-  // programs occupy tsp_slot_base_[id] .. +size; an unchanged layout keeps
+  // programs occupy tsp_slot_base[id] .. +size; an unchanged layout keeps
   // its counters across recompiles (Collector::SetStages decides).
-  tsp_slot_base_.assign(pipeline_.tsp_count(), 0);
+  std::vector<uint32_t> tsp_slot_base(pipeline_.tsp_count(), 0);
   std::vector<telemetry::StageInfo> infos;
   for (uint32_t id = 0; id < pipeline_.tsp_count(); ++id) {
-    tsp_slot_base_[id] = static_cast<uint32_t>(infos.size());
+    tsp_slot_base[id] = static_cast<uint32_t>(infos.size());
     for (const CompiledProgram& cp : compiled_tsps_[id]) {
       infos.push_back(telemetry::StageInfo{id, cp.source->name});
     }
   }
   telemetry_.SetStages(std::move(infos));
 
-  // Lower the elastic pipeline into the straight-line plan: only the active
-  // TSPs of each side appear, in traversal order, each charging its fixed
-  // 2-cycle entry (stage traversal + template-parameter load).
+  // Lower the elastic pipeline into the straight-line plan. Bypassed TSPs
+  // are excluded from the physical pipeline entirely — no latency, no power
+  // (§2.3) — so only the active TSPs of each side appear, in traversal
+  // order. Each charges one cycle of stage traversal plus one for loading
+  // its per-packet template parameters (§5 Throughput); the packet's
+  // pipeline II is the slowest TSP it traverses (arch/ii_model.h).
   plan_ = arch::PipelinePlan{};
-  plan_valid_ = exec_mode_ == arch::ExecMode::kSpecialize;
-  if (plan_valid_) {
-    auto plan_side = [this](const std::vector<uint32_t>& ids,
-                            std::vector<arch::PlanGroup>& groups) {
-      for (uint32_t id : ids) {
-        arch::PlanGroup group;
-        group.unit = id;
-        group.entry_cycles = 1 + 1;
-        uint32_t slot = tsp_slot_base_[id];
-        for (const CompiledProgram& cp : compiled_tsps_[id]) {
-          group.programs.push_back(arch::PlanProgram{
-              cp.compiled.has_value() ? &*cp.compiled : nullptr, cp.source,
-              slot});
-          ++slot;
-        }
-        groups.push_back(std::move(group));
+  pipeline_uses_registers_ = false;
+  auto plan_side = [&](const std::vector<uint32_t>& ids,
+                       std::vector<arch::PlanGroup>& groups) {
+    for (uint32_t id : ids) {
+      arch::PlanGroup group;
+      group.unit = id;
+      group.entry_cycles = 1 + 1;
+      uint32_t slot = tsp_slot_base[id];
+      for (const CompiledProgram& cp : compiled_tsps_[id]) {
+        group.programs.push_back(arch::PlanProgram{
+            cp.compiled.has_value() ? &*cp.compiled : nullptr, cp.source,
+            slot});
+        ++slot;
+        pipeline_uses_registers_ |= cp.uses_registers;
       }
-    };
-    plan_side(ingress_ids_, plan_.ingress);
-    plan_side(egress_ids_, plan_.egress);
-    plan_.tm_cycles = 1;      // traffic manager between the sides
-    plan_.jit_parse = true;   // TSPs parse just-in-time
-    plan_.per_group_ii = true;
-  }
+      groups.push_back(std::move(group));
+    }
+  };
+  plan_side(pipeline_.IngressIds(), plan_.ingress);
+  plan_side(pipeline_.EgressIds(), plan_.egress);
+  plan_.tm_cycles = 1;      // traffic manager: one cycle of queueing model
+  plan_.jit_parse = true;   // TSPs parse just-in-time
+  plan_.per_group_ii = true;
 }
 
 Result<telemetry::ProcessResult> IpbmSwitch::ProcessCore(
@@ -367,107 +355,23 @@ Result<telemetry::ProcessResult> IpbmSwitch::ProcessCore(
   ctx.metadata().Reset();
   ctx.metadata().SlotWriteUint(ingress_port_slot_, in_port);
 
+  IPSA_ASSIGN_OR_RETURN(arch::PlanRunStats ran,
+                        telemetry::RunObservedPlan(plan_, ctx, catalog_,
+                                                   actions_, &regs_, tshard,
+                                                   trace));
   telemetry::ProcessResult result;
-
-  if (plan_valid_) {
-    // Specialized walk: pick the observer instantiation once, so the
-    // telemetry/trace branches vanish from the per-stage loop.
-    Result<arch::PlanRunStats> ran = InternalError("unreachable");
-    if (trace != nullptr) {
-      ran = arch::RunPlan(plan_, ctx, catalog_, actions_, &regs_,
-                          telemetry::PlanTraceObserver{tshard, trace});
-    } else if (tshard != nullptr) {
-      ran = arch::RunPlan(plan_, ctx, catalog_, actions_, &regs_,
-                          telemetry::PlanShardObserver{tshard});
-    } else {
-      ran = arch::RunPlan(plan_, ctx, catalog_, actions_, &regs_,
-                          arch::PlanNullObserver{});
-    }
-    IPSA_RETURN_IF_ERROR(ran.status());
-    result.pipeline_ii = ran->worst_ii;
-  } else {
-    // Bypassed TSPs are excluded from the physical pipeline entirely — no
-    // latency, no power (§2.3). Each active TSP charges one extra cycle for
-    // loading its per-packet template parameters (§5 Throughput). The
-    // packet's pipeline II is the slowest TSP it traverses
-    // (arch/ii_model.h).
-    double worst_ii = 1.0;
-    auto run_tsp = [&](uint32_t id) -> Status {
-      ctx.ChargeCycles(1 + 1);  // stage traversal + template-parameter load
-      uint64_t tsp_parse_bytes = 0;
-      uint64_t tsp_access = 0;
-      uint32_t slot = tsp_slot_base_[id];
-      for (const CompiledProgram& cp : compiled_tsps_[id]) {
-        arch::StageRunStats run_stats;
-        if (cp.compiled.has_value()) {
-          IPSA_ASSIGN_OR_RETURN(
-              run_stats,
-              RunCompiledStage(*cp.compiled, ctx, &regs_, /*jit_parse=*/true,
-                               /*fill_names=*/trace != nullptr));
-        } else {
-          // Unresolvable references at compile time: interpreter fallback.
-          IPSA_ASSIGN_OR_RETURN(run_stats,
-                                RunStage(*cp.source, ctx, catalog_, actions_,
-                                         &regs_, /*jit_parse=*/true));
-        }
-        tsp_parse_bytes += run_stats.parse_bytes;
-        tsp_access = std::max(tsp_access, run_stats.access_cycles);
-        if (tshard != nullptr) {
-          tshard->OnStage(slot, run_stats.table_applied, run_stats.hit);
-        }
-        ++slot;
-        if (trace != nullptr) {
-          trace->steps.push_back(telemetry::TraceStep{
-              .unit = id,
-              .stage = cp.source->name,
-              .table = std::string(run_stats.applied_table),
-              .hit = run_stats.hit,
-              .action = std::string(run_stats.executed_action),
-              .parse_bytes = run_stats.parse_bytes});
-        }
-        if (ctx.dropped()) break;
-      }
-      worst_ii =
-          std::max(worst_ii, arch::IpsaTspIi(tsp_parse_bytes, tsp_access));
-      return OkStatus();
-    };
-    for (uint32_t id : ingress_ids_) {
-      IPSA_RETURN_IF_ERROR(run_tsp(id));
-      if (ctx.dropped()) break;
-    }
-    if (!ctx.dropped()) {
-      // Traffic manager: one cycle of queueing model.
-      ctx.ChargeCycles(1);
-      for (uint32_t id : egress_ids_) {
-        IPSA_RETURN_IF_ERROR(run_tsp(id));
-        if (ctx.dropped()) break;
-      }
-    }
-    result.pipeline_ii = worst_ii;
-  }
-
-  result.dropped = ctx.dropped();
-  result.marked = ctx.marked();
-  result.egress_port = ctx.egress_spec();
-  result.cycles = ctx.cycles();
+  result.pipeline_ii = ran.worst_ii;
   for (const auto& h : ctx.phv().instances()) {
     if (h.valid) ++result.headers_parsed;
     if (trace != nullptr && h.valid) trace->parsed_headers.push_back(h.name());
   }
-  stats.total_cycles += ctx.cycles();
-  if (result.dropped) {
-    ++stats.packets_dropped;
-  } else {
-    ++stats.packets_out;
-  }
-  if (result.marked) ++stats.packets_marked;
-  if (tshard != nullptr) tshard->OnResult(in_port, result);
+  telemetry::CountResult(ctx, in_port, result, stats, tshard);
   return result;
 }
 
 std::string IpbmSwitch::PlanToString() {
   EnsureCompiled();
-  return plan_valid_ ? plan_.ToString() : std::string();
+  return plan_.ToString();
 }
 
 int32_t IpbmSwitch::TspOfStage(std::string_view stage_name) const {

@@ -58,6 +58,8 @@ struct TspAssignment {
 
 class IpbmSwitch : private pisa::PacketWalk {
  public:
+  using Options = IpbmOptions;
+
   explicit IpbmSwitch(const IpbmOptions& options = {});
 
   // --- CCM: header plane -------------------------------------------------
@@ -152,10 +154,10 @@ class IpbmSwitch : private pisa::PacketWalk {
     return config_epoch_.load(std::memory_order_relaxed);
   }
 
-  // Pins the execution mode (default: the epoch-specialized pipeline plan).
-  // The differential fuzzing harness pins devices to each mode to
-  // cross-check the execution paths on identical devices; flipping it
-  // invalidates the compiled state like any other config change.
+  // Pins the execution mode (default: compiled stages in the plan). The
+  // differential fuzzing harness pins devices to each mode to cross-check
+  // the compiled stages against the interpreter on identical devices;
+  // flipping it invalidates the compiled state like any other config change.
   void SetExecMode(arch::ExecMode mode) {
     if (exec_mode_ != mode) {
       exec_mode_ = mode;
@@ -167,9 +169,8 @@ class IpbmSwitch : private pisa::PacketWalk {
   // Finds the TSP currently hosting a logical stage, or -1.
   int32_t TspOfStage(std::string_view stage_name) const;
 
-  // Debug/test introspection: the specialized plan for the current config
-  // state (forces the lazy rebuild). Empty unless exec_mode() is
-  // kSpecialize — the other modes run the generic walk with no plan.
+  // Debug/test introspection: the plan for the current config state (forces
+  // the lazy rebuild). Programs the interpreter runs are marked "(interp)".
   std::string PlanToString();
 
  private:
@@ -244,15 +245,9 @@ class IpbmSwitch : private pisa::PacketWalk {
   arch::ExecMode exec_mode_ = arch::ExecMode::kSpecialize;
   CompiledKey compiled_key_;  // all-zero: never matches the first CurrentKey
   std::vector<std::vector<CompiledProgram>> compiled_tsps_;
-  // Straight-line execution plan over the active TSPs (kSpecialize); points
-  // into compiled_tsps_/the pipeline templates and is rebuilt with them.
+  // Straight-line execution plan over the active TSPs; points into
+  // compiled_tsps_/the pipeline templates and is rebuilt with them.
   arch::PipelinePlan plan_;
-  bool plan_valid_ = false;
-  // Flattened telemetry stage slots: TSP id -> first slot of its programs
-  // (rebuilt by EnsureCompiled alongside the stage layout).
-  std::vector<uint32_t> tsp_slot_base_;
-  std::vector<uint32_t> ingress_ids_;
-  std::vector<uint32_t> egress_ids_;
   bool pipeline_uses_registers_ = false;
   int ingress_port_slot_ = arch::Metadata::kInvalidSlot;
 };

@@ -179,63 +179,61 @@ void PisaSwitch::EnsureCompiled() {
         out.resize(side.size());
         for (size_t i = 0; i < side.size(); ++i) {
           if (!side[i].has_value()) continue;
-          if (exec_mode_ == arch::ExecMode::kInterpret) {
-            design_uses_registers_ |=
-                arch::StageMayUseRegisters(*side[i], actions_);
-            continue;
+          if (exec_mode_ == arch::ExecMode::kSpecialize) {
+            auto compiled = arch::CompileStage(*side[i], catalog_, actions_,
+                                               design_.headers,
+                                               metadata_proto_);
+            if (compiled.ok()) {
+              out[i] = std::move(compiled).value();
+            } else {
+              ++stats_.interpreted_stages;  // interpreter fallback
+            }
           }
-          auto compiled = arch::CompileStage(*side[i], catalog_, actions_,
-                                             design_.headers, metadata_proto_);
-          if (compiled.ok()) {
-            design_uses_registers_ |= compiled->uses_registers;
-            out[i] = std::move(compiled).value();
-          } else {
-            // Interpreter fallback for this stage.
-            design_uses_registers_ |=
-                arch::StageMayUseRegisters(*side[i], actions_);
-            ++stats_.interpreted_stages;
-          }
+          design_uses_registers_ |=
+              out[i].has_value()
+                  ? out[i]->uses_registers
+                  : arch::StageMayUseRegisters(*side[i], actions_);
         }
       };
   compile_side(ingress_, compiled_ingress_);
   compile_side(egress_, compiled_egress_);
 
-  // Lower the physical stage array into the straight-line plan: active
-  // stages become groups (carrying any preceding empty stages' traversal
-  // cycles), trailing empties become the side's tail charge.
+  // Lower the physical stage array into the straight-line plan. All
+  // physical stages are traversed in order whether or not they hold a
+  // program — non-functional stages still cost a cycle of latency (the
+  // elastic-pipeline motivation in §2.3) — so active stages become groups
+  // carrying any preceding empty stages' traversal cycles, and trailing
+  // empties become the side's tail charge.
   plan_ = arch::PipelinePlan{};
-  plan_valid_ = exec_mode_ == arch::ExecMode::kSpecialize;
-  if (plan_valid_) {
-    auto plan_side =
-        [](const std::vector<std::optional<arch::StageProgram>>& side,
-           const std::vector<std::optional<arch::CompiledStage>>& compiled,
-           uint32_t base_index, std::vector<arch::PlanGroup>& groups,
-           uint32_t& tail_cycles) {
-          uint32_t gap = 0;
-          for (size_t i = 0; i < side.size(); ++i) {
-            if (!side[i].has_value()) {
-              ++gap;
-              continue;
-            }
-            arch::PlanGroup group;
-            group.unit = base_index + static_cast<uint32_t>(i);
-            group.entry_cycles = 1 + gap;
-            gap = 0;
-            group.programs.push_back(arch::PlanProgram{
-                compiled[i].has_value() ? &*compiled[i] : nullptr,
-                &*side[i], group.unit});
-            groups.push_back(std::move(group));
+  auto plan_side =
+      [](const std::vector<std::optional<arch::StageProgram>>& side,
+         const std::vector<std::optional<arch::CompiledStage>>& compiled,
+         uint32_t base_index, std::vector<arch::PlanGroup>& groups,
+         uint32_t& tail_cycles) {
+        uint32_t gap = 0;
+        for (size_t i = 0; i < side.size(); ++i) {
+          if (!side[i].has_value()) {
+            ++gap;
+            continue;
           }
-          tail_cycles = gap;
-        };
-    plan_side(ingress_, compiled_ingress_, 0, plan_.ingress,
-              plan_.ingress_tail_cycles);
-    plan_side(egress_, compiled_egress_, options_.physical_ingress_stages,
-              plan_.egress, plan_.egress_tail_cycles);
-    plan_.tm_cycles = 0;       // PISA's TM is free in the cycle model
-    plan_.jit_parse = false;   // the front parser ran before the walk
-    plan_.per_group_ii = false;
-  }
+          arch::PlanGroup group;
+          group.unit = base_index + static_cast<uint32_t>(i);
+          group.entry_cycles = 1 + gap;
+          gap = 0;
+          group.programs.push_back(arch::PlanProgram{
+              compiled[i].has_value() ? &*compiled[i] : nullptr, &*side[i],
+              group.unit});
+          groups.push_back(std::move(group));
+        }
+        tail_cycles = gap;
+      };
+  plan_side(ingress_, compiled_ingress_, 0, plan_.ingress,
+            plan_.ingress_tail_cycles);
+  plan_side(egress_, compiled_egress_, options_.physical_ingress_stages,
+            plan_.egress, plan_.egress_tail_cycles);
+  plan_.tm_cycles = 0;       // PISA's TM is free in the cycle model
+  plan_.jit_parse = false;   // the front parser ran before the walk
+  plan_.per_group_ii = false;
 
   ingress_port_slot_ = metadata_proto_.SlotOf("ingress_port");
   driver_.SetMetadataLayout(metadata_proto_);
@@ -287,98 +285,17 @@ Result<telemetry::ProcessResult> PisaSwitch::ProcessCore(
     }
   }
 
-  if (plan_valid_) {
-    // Specialized walk: pick the observer instantiation once, so the
-    // telemetry/trace branches vanish from the per-stage loop.
-    Result<arch::PlanRunStats> ran = InternalError("unreachable");
-    if (trace != nullptr) {
-      ran = arch::RunPlan(plan_, ctx, catalog_, actions_, &regs_,
-                          telemetry::PlanTraceObserver{tshard, trace});
-    } else if (tshard != nullptr) {
-      ran = arch::RunPlan(plan_, ctx, catalog_, actions_, &regs_,
-                          telemetry::PlanShardObserver{tshard});
-    } else {
-      ran = arch::RunPlan(plan_, ctx, catalog_, actions_, &regs_,
-                          arch::PlanNullObserver{});
-    }
-    IPSA_RETURN_IF_ERROR(ran.status());
-
-    result.dropped = ctx.dropped();
-    result.marked = ctx.marked();
-    result.egress_port = ctx.egress_spec();
-    result.cycles = ctx.cycles();
-    stats.total_cycles += ctx.cycles();
-    if (result.dropped) {
-      ++stats.packets_dropped;
-    } else {
-      ++stats.packets_out;
-    }
-    if (result.marked) ++stats.packets_marked;
-    if (tshard != nullptr) tshard->OnResult(in_port, result);
-    return result;
-  }
-
-  // All physical ingress stages are traversed in order whether or not they
-  // hold a program — non-functional stages still cost a cycle of latency
-  // (the elastic-pipeline motivation in §2.3).
-  auto run_side = [&](std::vector<std::optional<arch::StageProgram>>& side,
-                      std::vector<std::optional<arch::CompiledStage>>& compiled,
-                      uint32_t base_index) -> Status {
-    for (size_t i = 0; i < side.size(); ++i) {
-      ctx.ChargeCycles(1);
-      if (!side[i].has_value()) continue;
-      arch::StageRunStats run_stats;
-      if (compiled[i].has_value()) {
-        IPSA_ASSIGN_OR_RETURN(
-            run_stats,
-            RunCompiledStage(*compiled[i], ctx, &regs_, /*jit_parse=*/false,
-                             /*fill_names=*/trace != nullptr));
-      } else {
-        IPSA_ASSIGN_OR_RETURN(run_stats,
-                              RunStage(*side[i], ctx, catalog_, actions_,
-                                       &regs_, /*jit_parse=*/false));
-      }
-      if (tshard != nullptr) {
-        tshard->OnStage(base_index + static_cast<uint32_t>(i),
-                        run_stats.table_applied, run_stats.hit);
-      }
-      if (trace != nullptr) {
-        trace->steps.push_back(telemetry::TraceStep{
-            .unit = base_index + static_cast<uint32_t>(i),
-            .stage = side[i]->name,
-            .table = std::string(run_stats.applied_table),
-            .hit = run_stats.hit,
-            .action = std::string(run_stats.executed_action),
-            .parse_bytes = 0});
-      }
-      if (ctx.dropped()) break;
-    }
-    return OkStatus();
-  };
-  IPSA_RETURN_IF_ERROR(run_side(ingress_, compiled_ingress_, 0));
-  if (!ctx.dropped()) {
-    IPSA_RETURN_IF_ERROR(run_side(egress_, compiled_egress_,
-                                  options_.physical_ingress_stages));
-  }
-
-  result.dropped = ctx.dropped();
-  result.marked = ctx.marked();
-  result.egress_port = ctx.egress_spec();
-  result.cycles = ctx.cycles();
-  stats.total_cycles += ctx.cycles();
-  if (result.dropped) {
-    ++stats.packets_dropped;
-  } else {
-    ++stats.packets_out;
-  }
-  if (result.marked) ++stats.packets_marked;
-  if (tshard != nullptr) tshard->OnResult(in_port, result);
+  IPSA_RETURN_IF_ERROR(telemetry::RunObservedPlan(plan_, ctx, catalog_,
+                                                  actions_, &regs_, tshard,
+                                                  trace)
+                           .status());
+  telemetry::CountResult(ctx, in_port, result, stats, tshard);
   return result;
 }
 
 std::string PisaSwitch::PlanToString() {
   EnsureCompiled();
-  return plan_valid_ ? plan_.ToString() : std::string();
+  return plan_.ToString();
 }
 
 uint32_t PisaSwitch::ActiveIngressStages() const {

@@ -44,6 +44,8 @@ struct PisaOptions {
 
 class PisaSwitch : private PacketWalk {
  public:
+  using Options = PisaOptions;
+
   explicit PisaSwitch(const PisaOptions& options = {});
 
   // Full design load: tear-down + rebuild. This is the ONLY way to change
@@ -109,10 +111,10 @@ class PisaSwitch : private PacketWalk {
   // Bumped on every functional change (LoadDesign); tags snapshots/traces.
   uint64_t config_epoch() const { return config_epoch_; }
 
-  // Pins the execution mode (default: the epoch-specialized pipeline plan).
-  // The differential fuzzing harness pins devices to each mode to
-  // cross-check the execution paths on identical devices; flipping it
-  // invalidates the compiled state like any other config change.
+  // Pins the execution mode (default: compiled stages in the plan). The
+  // differential fuzzing harness pins devices to each mode to cross-check
+  // the compiled stages against the interpreter on identical devices;
+  // flipping it invalidates the compiled state like any other config change.
   void SetExecMode(arch::ExecMode mode) {
     if (exec_mode_ != mode) {
       exec_mode_ = mode;
@@ -133,9 +135,8 @@ class PisaSwitch : private PacketWalk {
   uint32_t ActiveIngressStages() const;
   uint32_t ActiveEgressStages() const;
 
-  // Debug/test introspection: the specialized plan for the current config
-  // state (forces the lazy rebuild). Empty unless exec_mode() is
-  // kSpecialize — the other modes run the generic walk with no plan.
+  // Debug/test introspection: the plan for the current config state (forces
+  // the lazy rebuild). Programs the interpreter runs are marked "(interp)".
   std::string PlanToString();
 
  private:
@@ -183,10 +184,9 @@ class PisaSwitch : private PacketWalk {
   CompiledKey compiled_key_;  // all-zero: never matches the first key
   std::vector<std::optional<arch::CompiledStage>> compiled_ingress_;
   std::vector<std::optional<arch::CompiledStage>> compiled_egress_;
-  // Straight-line execution plan over the physical stages (kSpecialize);
-  // points into ingress_/egress_/compiled_* and is rebuilt with them.
+  // Straight-line execution plan over the physical stages; points into
+  // ingress_/egress_/compiled_* and is rebuilt with them.
   arch::PipelinePlan plan_;
-  bool plan_valid_ = false;
   bool design_uses_registers_ = false;
   int ingress_port_slot_ = arch::Metadata::kInvalidSlot;
 };

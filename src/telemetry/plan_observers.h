@@ -1,13 +1,16 @@
-// RunPlan observer policies shared by both behavioral devices.
+// The plan walk both behavioral devices share, with its telemetry.
 //
 // arch::RunPlan (arch/pipeline_plan.h) is templated over an Observer so the
 // telemetry and trace hooks specialize out of the packet loop when unused.
 // The arch layer cannot depend on telemetry, so the concrete observers live
-// here: the devices pick one per batch —
+// here, and RunObservedPlan picks one per packet —
 //
 //   PlanNullObserver   no telemetry, no trace (the hot path)
 //   PlanShardObserver  per-stage counters into a MetricsShard
 //   PlanTraceObserver  counters + full TraceStep recording (names filled)
+//
+// CountResult is the common tail of every ProcessCore: the packet's verdict
+// into the ProcessResult, the device counters and the per-port metrics.
 #pragma once
 
 #include "arch/pipeline_plan.h"
@@ -46,5 +49,41 @@ struct PlanTraceObserver {
                   .parse_bytes = stats.parse_bytes});
   }
 };
+
+// Runs `plan` under the cheapest observer that records what was asked for:
+// a non-null `trace` records every stage, a non-null `shard` counts them.
+inline Result<arch::PlanRunStats> RunObservedPlan(
+    const arch::PipelinePlan& plan, arch::PacketContext& ctx,
+    const arch::TableCatalog& catalog, const arch::ActionStore& actions,
+    arch::RegisterFile* regs, MetricsShard* shard, ProcessTrace* trace) {
+  if (trace != nullptr) {
+    return arch::RunPlan(plan, ctx, catalog, actions, regs,
+                         PlanTraceObserver{shard, trace});
+  }
+  if (shard != nullptr) {
+    return arch::RunPlan(plan, ctx, catalog, actions, regs,
+                         PlanShardObserver{shard});
+  }
+  return arch::RunPlan(plan, ctx, catalog, actions, regs,
+                       arch::PlanNullObserver{});
+}
+
+// Copies the walked packet's verdict into `result` and counts it.
+inline void CountResult(const arch::PacketContext& ctx, uint32_t in_port,
+                        ProcessResult& result, DeviceStats& stats,
+                        MetricsShard* shard) {
+  result.dropped = ctx.dropped();
+  result.marked = ctx.marked();
+  result.egress_port = ctx.egress_spec();
+  result.cycles = ctx.cycles();
+  stats.total_cycles += ctx.cycles();
+  if (result.dropped) {
+    ++stats.packets_dropped;
+  } else {
+    ++stats.packets_out;
+  }
+  if (result.marked) ++stats.packets_marked;
+  if (shard != nullptr) shard->OnResult(in_port, result);
+}
 
 }  // namespace ipsa::telemetry

@@ -190,7 +190,7 @@ class PbmHarness : public Harness {
 
 class IpbmHarness : public Harness {
  public:
-  enum class Mode { kInterp, kCompiled, kParallel };
+  enum class Mode { kInterp, kSpec, kParallel };
 
   IpbmHarness(Mode mode, uint32_t workers,
               const ipbm::IpbmOptions& options = {},
@@ -202,20 +202,10 @@ class IpbmHarness : public Harness {
     telemetry::TelemetryConfig tc;
     tc.enabled = true;
     dev_.ConfigureTelemetry(tc);
-    // kParallel runs the default specialized plan through the batch
-    // executor; kCompiled pins the generic compiled-stage walk so both
-    // executor structures stay covered.
-    switch (mode_) {
-      case Mode::kInterp:
-        dev_.SetExecMode(arch::ExecMode::kInterpret);
-        break;
-      case Mode::kCompiled:
-        dev_.SetExecMode(arch::ExecMode::kCompile);
-        break;
-      case Mode::kParallel:
-        dev_.SetExecMode(arch::ExecMode::kSpecialize);
-        break;
-    }
+    // kSpec and kParallel both run the compiled stages; kSpec one packet
+    // at a time, kParallel through the multi-worker batch executor.
+    dev_.SetExecMode(mode_ == Mode::kInterp ? arch::ExecMode::kInterpret
+                                            : arch::ExecMode::kSpecialize);
     IPSA_ASSIGN_OR_RETURN(auto timing, ctl_.LoadBaseFromP4(c.p4_v1));
     (void)timing;
     return OkStatus();
@@ -564,19 +554,19 @@ Result<DiffReport> RunCase(const CaseFile& c, const DiffOptions& options) {
   }
 
   PbmHarness pbm_i(arch::ExecMode::kInterpret, pbm_options, pbm_compiler);
-  PbmHarness pbm_c(arch::ExecMode::kCompile, pbm_options, pbm_compiler);
   PbmHarness pbm_s(arch::ExecMode::kSpecialize, pbm_options, pbm_compiler);
   IpbmHarness ipbm_i(IpbmHarness::Mode::kInterp, options.parallel_workers,
                      ipbm_options, ipbm_compiler);
-  IpbmHarness ipbm_c(IpbmHarness::Mode::kCompiled, options.parallel_workers,
+  IpbmHarness ipbm_s(IpbmHarness::Mode::kSpec, options.parallel_workers,
                      ipbm_options, ipbm_compiler);
   IpbmHarness ipbm_p(IpbmHarness::Mode::kParallel, options.parallel_workers,
                      ipbm_options, ipbm_compiler);
 
+  // Indices into `runs`: pbm configs 0-1, ipbm configs 2-4.
   std::vector<std::pair<Harness*, std::string>> configs = {
-      {&pbm_i, "pbm-interp"},   {&pbm_c, "pbm-compiled"},
-      {&pbm_s, "pbm-spec"},     {&ipbm_i, "ipbm-interp"},
-      {&ipbm_c, "ipbm-compiled"}, {&ipbm_p, "ipbm-parallel"},
+      {&pbm_i, "pbm-interp"},   {&pbm_s, "pbm-spec"},
+      {&ipbm_i, "ipbm-interp"}, {&ipbm_s, "ipbm-spec"},
+      {&ipbm_p, "ipbm-parallel"},
   };
 
   std::vector<ConfigRun> runs;
@@ -598,33 +588,17 @@ Result<DiffReport> RunCase(const CaseFile& c, const DiffOptions& options) {
     }
   };
 
-  // Per-packet results across the five per-packet configurations
+  // Per-packet results across the four per-packet configurations
   // (ipbm-parallel reorders completion, so it is excluded here and held to
   // the stream-level comparisons below).
-  const size_t kPerPacket[] = {0, 1, 2, 3, 4};
-  for (size_t i = 1; i < std::size(kPerPacket); ++i) {
-    if (std::string d = ComparePackets(runs[kPerPacket[0]], runs[kPerPacket[i]]);
-        !d.empty()) {
+  for (size_t i = 1; i < 4; ++i) {
+    if (std::string d = ComparePackets(runs[0], runs[i]); !d.empty()) {
       fail(d);
       return report;
     }
   }
-  // Cycle counts must match within an architecture (the compiled and
-  // specialized fast paths charge exactly the interpreter's cycle model).
-  if (std::string d = CompareCycles(runs[0], runs[1]); !d.empty()) {
-    fail(d);
-    return report;
-  }
-  if (std::string d = CompareCycles(runs[0], runs[2]); !d.empty()) {
-    fail(d);
-    return report;
-  }
-  if (std::string d = CompareCycles(runs[3], runs[4]); !d.empty()) {
-    fail(d);
-    return report;
-  }
   // TX streams, per-segment table deltas, and aggregate packet counters
-  // across all six configurations.
+  // across all five configurations.
   for (size_t i = 1; i < runs.size(); ++i) {
     if (std::string d = CompareTx(runs[0], runs[i]); !d.empty()) {
       fail(d);
@@ -643,27 +617,8 @@ Result<DiffReport> RunCase(const CaseFile& c, const DiffOptions& options) {
       return report;
     }
   }
-  // Full telemetry shard equality (cycle histograms included) within an
-  // architecture: all three pbm and all three ipbm configurations.
-  if (!(runs[0].shard == runs[1].shard)) {
-    fail("pbm telemetry shards differ between interpreter and compiled");
-    return report;
-  }
-  if (!(runs[0].shard == runs[2].shard)) {
-    fail("pbm telemetry shards differ between interpreter and specialized");
-    return report;
-  }
-  if (!(runs[3].shard == runs[4].shard)) {
-    fail("ipbm telemetry shards differ between interpreter and compiled");
-    return report;
-  }
-  if (!(runs[3].shard == runs[5].shard)) {
-    fail("ipbm telemetry shards differ between serial and parallel");
-    return report;
-  }
   // Update visibility: every configuration that saw the update op must have
-  // advanced its config epoch and recorded an update window; the advance is
-  // identical within an architecture (same command sequence).
+  // advanced its config epoch and recorded an update window.
   for (const ConfigRun& r : runs) {
     if (!r.saw_update) continue;
     if (r.epoch_delta == 0) {
@@ -675,23 +630,35 @@ Result<DiffReport> RunCase(const CaseFile& c, const DiffOptions& options) {
       return report;
     }
   }
-  if (runs[0].saw_update && (runs[0].epoch_delta != runs[1].epoch_delta ||
-                             runs[0].epoch_delta != runs[2].epoch_delta)) {
-    fail("pbm configs disagree on epoch advance across the update");
-    return report;
-  }
-  if (runs[3].saw_update && (runs[3].epoch_delta != runs[4].epoch_delta ||
-                             runs[3].epoch_delta != runs[5].epoch_delta)) {
-    fail("ipbm configs disagree on epoch advance across the update");
-    return report;
-  }
-  if (runs[0].updates != runs[1].updates || runs[0].updates != runs[2].updates) {
-    fail("pbm configs disagree on telemetry update count");
-    return report;
-  }
-  if (runs[3].updates != runs[4].updates || runs[3].updates != runs[5].updates) {
-    fail("ipbm configs disagree on telemetry update count");
-    return report;
+  // Within an architecture every configuration matches its interpreter
+  // exactly: per-packet cycle counts (the compiled stages charge exactly
+  // the interpreter's cycle model; CompareCycles skips ipbm-parallel, which
+  // records no per-packet results), full telemetry shards (cycle histograms
+  // included), and the epoch advance and update count of the identical
+  // command sequence.
+  const std::pair<size_t, size_t> kSameArch[] = {{0, 1}, {2, 3}, {2, 4}};
+  for (auto [ref, i] : kSameArch) {
+    const ConfigRun& want = runs[ref];
+    const ConfigRun& got = runs[i];
+    if (std::string d = CompareCycles(want, got); !d.empty()) {
+      fail(d);
+      return report;
+    }
+    if (!(want.shard == got.shard)) {
+      fail("telemetry shards differ between " + want.name + " and " +
+           got.name);
+      return report;
+    }
+    if (want.saw_update && want.epoch_delta != got.epoch_delta) {
+      fail(want.name + " and " + got.name +
+           " disagree on epoch advance across the update");
+      return report;
+    }
+    if (want.updates != got.updates) {
+      fail(want.name + " and " + got.name +
+           " disagree on telemetry update count");
+      return report;
+    }
   }
   return report;
 }

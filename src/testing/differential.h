@@ -1,13 +1,12 @@
 // Differential execution of one fuzz case over every execution path.
 //
-// Six configurations process the identical (program, traffic, churn)
+// Five configurations process the identical (program, traffic, churn)
 // schedule:
-//   pbm-interp    PISA device, interpreter only
-//   pbm-compiled  PISA device, generic compiled-stage walk
-//   pbm-spec      PISA device, epoch-specialized pipeline plan
-//   ipbm-interp   IPSA device, interpreter only
-//   ipbm-compiled IPSA device, generic compiled-stage walk
-//   ipbm-parallel IPSA device, specialized plan + 4-worker batch executor
+//   pbm-interp    PISA device, interpreter for every stage of the plan
+//   pbm-spec      PISA device, compiled stages in the plan
+//   ipbm-interp   IPSA device, interpreter for every stage of the plan
+//   ipbm-spec     IPSA device, compiled stages in the plan, per packet
+//   ipbm-parallel IPSA device, compiled stages + 4-worker batch executor
 //
 // The PISA configurations full-reload v2 at the update op (entries restored
 // from the controller shadow); the IPSA configurations apply the in-situ
@@ -37,7 +36,7 @@ struct DiffReport {
   std::string detail;  // first divergence, human-readable
 };
 
-// Runs one case through all six configurations. A Status error means the
+// Runs one case through all five configurations. A Status error means the
 // case could not even execute (a front-end or harness defect — also a
 // failure for the fuzzer, just a different kind).
 Result<DiffReport> RunCase(const CaseFile& c, const DiffOptions& options = {});

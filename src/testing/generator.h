@@ -13,7 +13,7 @@
 // (a PISA reload resets registers, an IPSA update keeps them — a real
 // divergence of the models, not a bug). Stateful cases exercise the
 // register-accumulate path — including the fixed-point externs sat_add /
-// fxp_quantize / fxp_dequantize — across all six configurations; stateless
+// fxp_quantize / fxp_dequantize — across all five configurations; stateless
 // cases may still use the externs in pure expressions, in which case the
 // in-situ update snippet carries them through the rp4 printer/parser too.
 #pragma once

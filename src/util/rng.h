@@ -1,7 +1,12 @@
-// Deterministic PRNG for workload generation and property tests.
+// Seeded PRNG for workload generation and property tests.
 //
-// std::mt19937_64 seeded explicitly; all randomized behaviour in the repo
-// flows through this type so runs are reproducible bit-for-bit.
+// The std::mt19937_64 engine is fully specified, so Next() returns the same
+// sequence on every standard library. The distributions are not: the
+// algorithms behind std::uniform_int_distribution and
+// std::uniform_real_distribution are implementation-defined, so
+// NextBelow/NextInRange/NextDouble/NextBool (and the net::Workload traffic
+// built on them) replay bit-for-bit only under one standard library. The
+// differential fuzzer uses testing::Rng (testing/rng.h), which is portable.
 #pragma once
 
 #include <cstdint>

@@ -22,6 +22,8 @@
 #include "arch/stage.h"
 #include "bench/common.h"
 #include "ipsa/ipbm.h"
+#include "pisa/pisa_switch.h"
+#include "net/packet_builder.h"
 #include "net/workload.h"
 #include "telemetry/collector.h"
 #include "telemetry/export.h"
@@ -458,32 +460,31 @@ TEST(FastPathDeterminism, IpbmRecompileAcrossTemplateWrite) {
 }
 
 // ---------------------------------------------------------------------------
-// Execution-mode equivalence: interpreter / compiled walk / specialized plan
+// Execution-mode equivalence: interpreter vs compiled stages in the plan
 // ---------------------------------------------------------------------------
 
 constexpr arch::ExecMode kAllModes[] = {arch::ExecMode::kInterpret,
-                                        arch::ExecMode::kCompile,
                                         arch::ExecMode::kSpecialize};
+constexpr size_t kModes = std::size(kAllModes);
 
 const char* ModeName(arch::ExecMode m) {
   switch (m) {
     case arch::ExecMode::kInterpret: return "interpret";
-    case arch::ExecMode::kCompile: return "compile";
     case arch::ExecMode::kSpecialize: return "specialize";
   }
   return "?";
 }
 
-// Three identically-configured devices, one per execution mode, fed the
-// same workload: results, cycle ledgers and final packet bytes must be
-// bit-identical (the specialized plan promises exactly the interpreter's
-// semantics, dead-stage cycle folding included).
+// Identically-configured devices, one per execution mode, fed the same
+// workload: results, cycle ledgers and final packet bytes must be
+// bit-identical (the compiled stages promise exactly the interpreter's
+// semantics and cycle charges).
 template <typename MakeSetup>
 void CheckExecModeEquivalence(MakeSetup make, UseCase uc) {
   SCOPED_TRACE(UseCaseName(uc));
-  std::vector<std::vector<telemetry::ProcessResult>> results(3);
+  std::vector<std::vector<telemetry::ProcessResult>> results(kModes);
   std::vector<std::vector<net::Packet>> pkts;
-  for (size_t m = 0; m < 3; ++m) {
+  for (size_t m = 0; m < kModes; ++m) {
     net::Workload populate_workload(WorkloadFor(uc));
     auto setup = make(uc, &populate_workload);
     ASSERT_TRUE(setup.ok()) << setup.status().ToString();
@@ -495,7 +496,7 @@ void CheckExecModeEquivalence(MakeSetup make, UseCase uc) {
       results[m].push_back(*r);
     }
   }
-  for (size_t m = 1; m < 3; ++m) {
+  for (size_t m = 1; m < kModes; ++m) {
     ASSERT_EQ(results[0].size(), results[m].size());
     for (size_t i = 0; i < results[0].size(); ++i) {
       ExpectSameResult(results[0][i], results[m][i],
@@ -524,9 +525,10 @@ TEST(ExecModeEquivalence, Pbm) {
 }
 
 // Flipping the mode mid-stream (specialize -> interpret -> specialize) is a
-// config mutation: the plan is dropped, packets run the generic walk, and
-// the next specialize rebuilds the plan under the new epoch. Results must
-// stay identical to a device that never left the specialized path.
+// config mutation: the plan is rebuilt with every program on the
+// interpreter, and the next specialize rebuilds it with the compiled stages
+// under the new epoch. Results must stay identical to a device that never
+// left the compiled stages.
 TEST(ExecModeEquivalence, IpbmModeFlipMidStreamIsSeamless) {
   for (UseCase uc : kAllUseCases) {
     SCOPED_TRACE(UseCaseName(uc));
@@ -573,8 +575,9 @@ TEST(ExecModeEquivalence, IpbmModeFlipMidStreamIsSeamless) {
 
 // Structural check of dead-stage elision: the PISA plan has one group per
 // *mapped* physical stage (empty stages vanish from the walk), their
-// traversal cycles folded into successor entry charges or the side tails,
-// and the plan only exists in specialize mode.
+// traversal cycles folded into successor entry charges or the side tails.
+// Both modes walk the same plan; interpret mode only swaps every program
+// onto the interpreter, which the plan string marks "(interp)".
 TEST(ExecModeEquivalence, PbmPlanElidesEmptyStages) {
   net::Workload populate_workload(WorkloadFor(UseCase::kBase));
   auto setup = MakePisaSetup(UseCase::kBase, &populate_workload);
@@ -598,21 +601,31 @@ TEST(ExecModeEquivalence, PbmPlanElidesEmptyStages) {
               plan.find("+3cy") != std::string::npos)
       << plan;
 
-  dev.SetExecMode(arch::ExecMode::kCompile);
-  EXPECT_EQ(dev.PlanToString(), "");
+  EXPECT_EQ(plan.find("(interp)"), std::string::npos) << plan;
+
+  // Interpret mode walks the same plan: stripping its markers (one per
+  // program, and a PISA group holds one) must give the plan above verbatim.
   dev.SetExecMode(arch::ExecMode::kInterpret);
-  EXPECT_EQ(dev.PlanToString(), "");
+  std::string interp_plan = dev.PlanToString();
+  constexpr std::string_view kMark = "(interp)";
+  size_t marks = 0;
+  for (size_t pos; (pos = interp_plan.find(kMark)) != std::string::npos;
+       ++marks) {
+    interp_plan.erase(pos, kMark.size());
+  }
+  EXPECT_EQ(marks, groups);
+  EXPECT_EQ(interp_plan, plan);
 }
 
-// Traced runs are the only ones that fill stage names (the compiled walk
-// sets the StageRunStats views only under fill_names): every execution mode
+// Traced runs are the only ones that fill stage names (the compiled stages
+// set the StageRunStats views only under fill_names): the compiled stages
 // must report the same stages, tables, hits, actions and parsed headers as
 // the name-based interpreter.
 template <typename MakeSetup>
 void CheckTracedNamesMatchInterpreter(MakeSetup make, UseCase uc) {
   SCOPED_TRACE(UseCaseName(uc));
-  std::vector<std::vector<telemetry::ProcessTrace>> traces(3);
-  for (size_t m = 0; m < 3; ++m) {
+  std::vector<std::vector<telemetry::ProcessTrace>> traces(kModes);
+  for (size_t m = 0; m < kModes; ++m) {
     net::Workload populate_workload(WorkloadFor(uc));
     auto setup = make(uc, &populate_workload);
     ASSERT_TRUE(setup.ok()) << setup.status().ToString();
@@ -625,7 +638,7 @@ void CheckTracedNamesMatchInterpreter(MakeSetup make, UseCase uc) {
     }
   }
   size_t named_tables = 0;
-  for (size_t m = 1; m < 3; ++m) {
+  for (size_t m = 1; m < kModes; ++m) {
     ASSERT_EQ(traces[0].size(), traces[m].size());
     for (size_t i = 0; i < traces[0].size(); ++i) {
       SCOPED_TRACE(std::string(ModeName(kAllModes[m])) + " packet " +
@@ -709,6 +722,128 @@ TEST(InterpreterFallback, UncompilableStageIsCountedAndExported) {
   ASSERT_TRUE(dev.ClearTsp(free_tsp).ok());
   ASSERT_TRUE(dev.Process(packet, 1).ok());
   EXPECT_EQ(dev.stats().interpreted_stages, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Cycle ledger: the plan's dead-stage folding against hand-computed cycles
+// ---------------------------------------------------------------------------
+
+// Every mode walks the same plan, so the differential oracle cannot catch a
+// plan that folds empty stages wrongly; these constants can. The design is
+// tiny on purpose: no tables, and every action is one op (1 cycle each),
+// except drop_on_7, an `if` (1 cycle) whose taken branch adds a drop
+// (1 cycle) for packets from port 7.
+arch::DesignConfig LedgerDesign() {
+  using arch::ActionOp;
+  using arch::Expr;
+  arch::DesignConfig d;
+  d.name = "ledger";
+  d.headers = arch::HeaderRegistry::StandardL2L3();
+  d.actions.push_back({.name = "nop", .params = {}, .body = {ActionOp::Noop()}});
+  d.actions.push_back({.name = "fwd",
+                       .params = {},
+                       .body = {ActionOp::Forward(Expr::ConstU(3, 9))}});
+  d.actions.push_back(
+      {.name = "drop_on_7",
+       .params = {},
+       .body = {ActionOp::If(
+           Expr::Binary(Expr::Op::kEq,
+                        Expr::Field(arch::FieldRef::Meta("ingress_port")),
+                        Expr::ConstU(7, 9)),
+           {ActionOp::Drop()})}});
+  auto stage = [](std::string name, std::string action,
+                  std::vector<std::string> parse_set = {}) {
+    arch::StageProgram p;
+    p.name = std::move(name);
+    p.parse_set = std::move(parse_set);
+    p.miss_action = std::move(action);
+    return p;
+  };
+  // in_a's parse set only matters to ipbm (pbm parses up front).
+  d.ingress_stages = {stage("in_a", "nop", {"ethernet"}),
+                      stage("in_guard", "drop_on_7"), stage("in_fwd", "fwd")};
+  d.egress_stages = {stage("eg", "nop")};
+  return d;
+}
+
+// Ethernet only (the ether type links to nothing): one header to parse.
+net::Packet LedgerPacket() {
+  return net::PacketBuilder()
+      .Ethernet(net::MacAddr::FromUint64(0x02), net::MacAddr::FromUint64(0x01),
+                0x88B5)
+      .Payload(32)
+      .Build();
+}
+
+// Runs a forwarded (port 1) and a dropped (port 7) packet in both modes and
+// checks their cycles against the hand-computed constants.
+template <typename Device>
+void CheckLedger(Device& dev, uint64_t forward_cycles, uint64_t drop_cycles) {
+  for (arch::ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeName(mode));
+    dev.SetExecMode(mode);
+    net::Packet forwarded = LedgerPacket();
+    auto fwd = dev.Process(forwarded, 1);
+    ASSERT_TRUE(fwd.ok()) << fwd.status().ToString();
+    EXPECT_FALSE(fwd->dropped);
+    EXPECT_EQ(fwd->egress_port, 3u);
+    EXPECT_EQ(fwd->cycles, forward_cycles) << dev.PlanToString();
+    net::Packet dropped = LedgerPacket();
+    auto drop = dev.Process(dropped, 7);
+    ASSERT_TRUE(drop.ok()) << drop.status().ToString();
+    EXPECT_TRUE(drop->dropped);
+    EXPECT_EQ(drop->cycles, drop_cycles) << dev.PlanToString();
+    if (mode == arch::ExecMode::kSpecialize) {
+      EXPECT_EQ(dev.stats().interpreted_stages, 0u);
+    }
+  }
+}
+
+TEST(CycleLedger, PlanMatchesHandComputedCycles) {
+  {
+    SCOPED_TRACE("pbm");
+    // 4 physical ingress stages hold in_a, in_guard, in_fwd and one empty
+    // stage; 3 egress stages hold eg and two empties. Every physical stage
+    // costs 1 cycle to traverse, programs or not; the front parser charges
+    // 1 for the ethernet header; PISA's traffic manager is free.
+    //   forwarded: parse 1 + ingress 4 stages + 3 actions
+    //              + egress 3 stages + 1 action                    = 12
+    //   dropped:   parse 1 + in_a (1 + 1) + in_guard (1 + if 1 + drop 1)
+    //              — the drop skips in_fwd, the empty ingress stage
+    //              (the ingress tail) and the whole egress side    = 6
+    pisa::PisaOptions options;
+    options.physical_ingress_stages = 4;
+    options.physical_egress_stages = 3;
+    pisa::PisaSwitch dev(options);
+    ASSERT_TRUE(dev.LoadDesign(LedgerDesign()).ok());
+    CheckLedger(dev, 12, 6);
+  }
+  {
+    SCOPED_TRACE("ipbm");
+    // TSP 0 (ingress) holds in_a, TSP 2 (ingress) in_guard + in_fwd, TSP 4
+    // (egress) eg; TSPs 1, 3 and 5.. are bypassed and cost nothing. Each
+    // active TSP charges 2 cycles on entry (traversal + template-parameter
+    // load), in_a charges 1 for parsing ethernet just in time, and the
+    // traffic manager between the sides charges 1.
+    //   forwarded: TSP0 (2 + parse 1 + nop 1) + TSP2 (2 + if 1 + fwd 1)
+    //              + TM 1 + TSP4 (2 + nop 1)                       = 12
+    //   dropped:   TSP0 4 + TSP2 (2 + if 1 + drop 1) — the drop skips
+    //              in_fwd, the TM and the egress TSP               = 8
+    ipbm::IpbmSwitch dev;
+    ASSERT_TRUE(dev.LoadBaseDesign(
+                       LedgerDesign(),
+                       {{.tsp_id = 0,
+                         .role = ipbm::TspRole::kIngress,
+                         .stage_names = {"in_a"}},
+                        {.tsp_id = 2,
+                         .role = ipbm::TspRole::kIngress,
+                         .stage_names = {"in_guard", "in_fwd"}},
+                        {.tsp_id = 4,
+                         .role = ipbm::TspRole::kEgress,
+                         .stage_names = {"eg"}}})
+                    .ok());
+    CheckLedger(dev, 12, 8);
+  }
 }
 
 }  // namespace

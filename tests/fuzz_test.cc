@@ -100,7 +100,7 @@ TEST(FuzzTest, ExternAndRegisterCasesRunCleanAcrossAllConfigurations) {
 // The million-entry size sweep end to end: find a generated case declaring
 // a 2^20-entry table, then run the full differential matrix over it. The
 // harnesses must size their pools from the declared maximum (the default
-// pools hold ~256k rows) and all six configurations must stay equivalent.
+// pools hold ~256k rows) and all five configurations must stay equivalent.
 TEST(FuzzTest, MillionEntrySpecRunsCleanAcrossAllConfigurations) {
   for (uint64_t seed = 1; seed <= 100; ++seed) {
     auto cf = RenderCase(GenerateCase(seed));

@@ -1,8 +1,8 @@
 // rp4fuzz — differential fuzzer for the two design flows.
 //
 // Generates seeded random (program, traffic, churn) cases and replays each
-// through six device configurations (pbm interpreter/compiled/specialized,
-// ipbm interpreter/compiled/parallel), asserting bit-identical TX streams, equal
+// through five device configurations (pbm interpreter/specialized, ipbm
+// interpreter/specialized/parallel), asserting bit-identical TX streams, equal
 // per-packet results and table hit/miss deltas, and matching telemetry —
 // including an in-situ function update on ipbm vs a full reload on pbm mid
 // schedule. On divergence the failing case is greedily shrunk and written as
