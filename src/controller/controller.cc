@@ -116,16 +116,20 @@ Result<FlowTiming> PisaFlowController::CompileAndLoad(
 
   util::Stopwatch load_clock;
   IPSA_RETURN_IF_ERROR(device_->LoadDesignJson(design_json));
-  // Full reload wiped every table: repopulate from the shadow store.
+  // Full reload wiped every table: repopulate from the shadow store, one
+  // batch (one publication) per table. A table the new design no longer
+  // has is skipped.
   for (const auto& [table, entries] : shadow_) {
+    auto t = device_->catalog().Get(table);
+    if (!t.ok()) continue;
+    (*t)->BeginBatch();
+    Status s = OkStatus();
     for (const auto& entry : entries) {
-      Status s = device_->AddEntry(table, entry);
-      if (!s.ok() && s.code() != StatusCode::kNotFound) {
-        return s;
-      }
-      // kNotFound: the table no longer exists in the new design; its shadow
-      // entries are dropped on the next AddEntry.
+      s = device_->AddEntry(table, entry);
+      if (!s.ok()) break;
     }
+    (*t)->EndBatch();
+    IPSA_RETURN_IF_ERROR(s);
   }
   timing.load_ms = load_clock.ElapsedMillis();
   api_ = compiler::BuildApiSpec(device_->design());

@@ -1,5 +1,7 @@
 #include "daemon/backends.h"
 
+#include <algorithm>
+
 #include "controller/designs.h"
 
 namespace ipsa::daemon {
@@ -52,28 +54,26 @@ void FillTableRows(const arch::TableCatalog& catalog,
 }
 
 // Applies one bulk frame with per-table batched publication: every table
-// the frame touches defers its index republish to EndEntryBatch, so the
-// frame's entries become visible to lookups in one swap per table instead
-// of one per op. Failures are collected per-op — the frame (and stream)
-// never aborts, and publication still happens for the ops that succeeded.
+// the frame touches runs the frame's ops inside one MatchTable batch, so it
+// publishes (and pays its RCU grace period) once per frame instead of once
+// per op. The lpm, selector and ternary tables make the frame visible to
+// lookups in one swap at EndBatch; exact-table ops are visible as each
+// lands. Failures are collected per-op — the frame (and stream) never
+// aborts, and publication still happens for the ops that succeeded.
 template <typename Device, typename Fn>
 rpc::TableBulkResponse ApplyBulkFrame(Device& device,
                                       const rpc::TableBulkRequest& req,
                                       Fn&& apply_one) {
   // Distinct tables in first-seen order. Frames touch one or two tables in
-  // practice, so a linear scan beats a hash set here. A table that fails
-  // BeginEntryBatch (unknown name) is left out; its ops fail individually.
-  std::vector<const std::string*> batched;
+  // practice, so a linear scan beats a hash set here. An unknown table name
+  // opens no batch; its ops fail individually.
+  std::vector<table::MatchTable*> batched;
   for (const rpc::TableOp& op : req.ops) {
-    bool seen = false;
-    for (const std::string* t : batched) {
-      if (*t == op.table) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen && device.BeginEntryBatch(op.table).ok()) {
-      batched.push_back(&op.table);
+    auto t = device.catalog().Get(op.table);
+    if (t.ok() &&
+        std::find(batched.begin(), batched.end(), *t) == batched.end()) {
+      (*t)->BeginBatch();
+      batched.push_back(*t);
     }
   }
   rpc::TableBulkResponse resp;
@@ -86,7 +86,7 @@ rpc::TableBulkResponse ApplyBulkFrame(Device& device,
           rpc::BulkFailure{i, static_cast<uint16_t>(s.code()), s.message()});
     }
   }
-  for (const std::string* t : batched) (void)device.EndEntryBatch(*t);
+  for (table::MatchTable* t : batched) t->EndBatch();
   return resp;
 }
 

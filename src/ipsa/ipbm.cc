@@ -198,18 +198,6 @@ Status IpbmSwitch::EraseEntry(const std::string& table,
   return t->Erase(entry);
 }
 
-Status IpbmSwitch::BeginEntryBatch(const std::string& table) {
-  IPSA_ASSIGN_OR_RETURN(table::MatchTable * t, catalog_.Get(table));
-  t->BeginBatch();
-  return OkStatus();
-}
-
-Status IpbmSwitch::EndEntryBatch(const std::string& table) {
-  IPSA_ASSIGN_OR_RETURN(table::MatchTable * t, catalog_.Get(table));
-  t->EndBatch();
-  return OkStatus();
-}
-
 Status IpbmSwitch::LoadBaseDesign(const arch::DesignConfig& design,
                                   const std::vector<TspAssignment>& assignments) {
   for (const auto& name : design.headers.TypeNames()) {

@@ -92,11 +92,6 @@ class IpbmSwitch : private pisa::PacketWalk {
   Status AddEntry(const std::string& table, const table::Entry& entry,
                   bool upsert = true);
   Status EraseEntry(const std::string& table, const table::Entry& entry);
-  // Brackets a bulk frame of entry ops on one table: publication of the
-  // table's lookup views is deferred to EndEntryBatch, so the frame becomes
-  // visible with one atomic swap + one grace period.
-  Status BeginEntryBatch(const std::string& table);
-  Status EndEntryBatch(const std::string& table);
 
   // Applies a full base design through the incremental commands above.
   // `assignments` is rp4bc's stage->TSP layout.

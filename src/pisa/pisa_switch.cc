@@ -152,18 +152,6 @@ Status PisaSwitch::EraseEntry(const std::string& table,
   return t->Erase(entry);
 }
 
-Status PisaSwitch::BeginEntryBatch(const std::string& table) {
-  IPSA_ASSIGN_OR_RETURN(table::MatchTable * t, catalog_.Get(table));
-  t->BeginBatch();
-  return OkStatus();
-}
-
-Status PisaSwitch::EndEntryBatch(const std::string& table) {
-  IPSA_ASSIGN_OR_RETURN(table::MatchTable * t, catalog_.Get(table));
-  t->EndBatch();
-  return OkStatus();
-}
-
 void PisaSwitch::EnsureCompiled() {
   CompiledKey key{.epoch = config_epoch_,
                   .catalog = catalog_.version(),

@@ -65,10 +65,6 @@ class PisaSwitch : private PacketWalk {
   Status AddEntry(const std::string& table, const table::Entry& entry,
                   bool upsert = true);
   Status EraseEntry(const std::string& table, const table::Entry& entry);
-  // Brackets a bulk frame of entry ops on one table: the table's lookup
-  // views are republished once, at EndEntryBatch.
-  Status BeginEntryBatch(const std::string& table);
-  Status EndEntryBatch(const std::string& table);
 
   // Processes one packet through parser -> ingress -> TM -> egress.
   // When `trace` is non-null, every stage execution is recorded into it.

@@ -152,9 +152,12 @@ struct TableBatchResponse {
 // at the first one, so a duplicate key mid-window degrades one entry, not
 // the stream; (b) kAdd is strict — a duplicate identity fails with
 // kAlreadyExists rather than upserting (use kModify for upserts); (c) each
-// distinct table's index publication is batched across the frame, so the
-// frame becomes visible to lookups atomically. Clients keep a window of
-// these frames in flight before the first ack (see Client::ApplyBulk).
+// distinct table's index publication is batched across the frame: lpm,
+// selector and ternary tables make the frame visible to lookups atomically
+// at its end, while exact-table ops are visible as each lands and only
+// their RCU grace period is deferred to the frame's end. Clients keep a
+// window of these frames in flight before the first ack (see
+// Client::ApplyBulk).
 
 struct TableBulkRequest {
   std::vector<TableOp> ops;

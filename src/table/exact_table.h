@@ -1,13 +1,16 @@
-// Exact-match table: a sharded, RCU-published hash index over pool rows.
+// Exact-match table: an RCU-published chained hash index over pool rows.
 //
-// The software index is a chained hash table partitioned into
-// hash-addressed shards (hardware would use cuckoo/d-left hashing over the
-// identical SRAM rows). Bucket arrays are pre-sized from the table spec and
-// never resize, so an insert is O(chain) with no rehash ever — million-entry
-// bulk population stays flat. Chains follow the RCU discipline: nodes are
-// immutable once published, a mutation copies the affected chain prefix and
-// swaps the bucket head atomically, and unlinked nodes are retired to the
-// global rcu::Domain. Lookups pin an epoch, walk one chain with acquire
+// The software index is one chained hash table (hardware would use
+// cuckoo/d-left hashing over the identical SRAM rows). The bucket array is
+// pre-sized from the table spec and never resizes, so an insert is
+// O(chain) with no rehash ever — million-entry bulk population stays flat.
+// Chains follow the RCU discipline: nodes are immutable once published, a
+// mutation copies the affected chain prefix and swaps the bucket head
+// atomically, and unlinked nodes are retired to the global rcu::Domain.
+// Every op is therefore visible to lookups as soon as it lands, batch or
+// not; a batch only defers the grace period (MatchTable::Changed). A
+// new-key insert pushes a node onto the head, retires nothing and skips
+// the grace period. Lookups pin an epoch, walk one chain with acquire
 // loads, and never take a lock or observe a half-updated entry.
 #pragma once
 
@@ -16,7 +19,6 @@
 #include <string_view>
 #include <vector>
 
-#include "table/rcu.h"
 #include "table/table.h"
 #include "util/hash.h"
 
@@ -27,18 +29,12 @@ class ExactTable : public MatchTable {
   ExactTable(TableSpec spec, mem::Pool& pool, mem::LogicalTable storage);
   ~ExactTable() override;
 
-  Status Erase(const Entry& entry) override;
   void LookupInto(const mem::BitString& key, LookupResult& out) const override;
   void RefreshCache() override;
-  void BeginBatch() override { in_batch_ = true; }
-  void EndBatch() override;
-
-  uint32_t shard_count() const {
-    return static_cast<uint32_t>(shards_.size());
-  }
 
  protected:
   Status InsertOp(const Entry& entry, bool upsert) override;
+  Status EraseOp(const Entry& entry) override;
 
  private:
   // View over the key bytes; the index is probed transparently so the
@@ -59,28 +55,21 @@ class ExactTable : public MatchTable {
     std::string key;
   };
 
-  struct Shard {
-    std::vector<std::atomic<Node*>> buckets;
-    uint32_t bucket_mask = 0;
-  };
-
-  Shard& ShardOf(size_t hash) { return shards_[hash & shard_mask_]; }
-  std::atomic<Node*>& BucketOf(Shard& s, size_t hash) {
-    return s.buckets[(hash >> shard_bits_) & s.bucket_mask];
+  std::atomic<Node*>& BucketOf(std::string_view key) {
+    return buckets_[util::StringHash{}(key) & bucket_mask_];
   }
+  // The chain node holding `key` in `bucket`, or null.
+  static Node* Find(const std::atomic<Node*>& bucket, std::string_view key);
 
   // Republishes `bucket` with `remove` unlinked and (optionally) `add` at
-  // the head: copies the chain prefix up to `remove`, links the copy to its
-  // suffix, swaps the head, retires the replaced nodes.
+  // the head: copies the chain prefix up to `remove` (the whole chain when
+  // null), re-decoding each copy's action when `redecode`, links the copy
+  // to its suffix, swaps the head, retires the replaced nodes.
   void RepublishBucket(std::atomic<Node*>& bucket, const Node* remove,
-                       Node* add);
-  void MaybeSynchronize();
+                       Node* add, bool redecode = false);
 
-  std::vector<Shard> shards_;
-  uint32_t shard_mask_ = 0;
-  uint32_t shard_bits_ = 0;
-  std::vector<uint32_t> free_rows_;  // LIFO free list (writer-only)
-  bool in_batch_ = false;
+  std::vector<std::atomic<Node*>> buckets_;
+  size_t bucket_mask_ = 0;
 };
 
 }  // namespace ipsa::table

@@ -4,26 +4,27 @@
 
 namespace ipsa::table {
 
-LpmTable::LpmTable(TableSpec spec, mem::Pool& pool, mem::LogicalTable storage)
-    : MatchTable(std::move(spec), pool, std::move(storage)),
-      root_(std::make_unique<Node>()) {
-  free_rows_.reserve(spec_.size);
-  for (uint32_t r = spec_.size; r > 0; --r) free_rows_.push_back(r - 1);
-  // Partition on the top R bits, targeting ~64 entries per shard so a shard
-  // rebuild stays small while slot fan-out stays bounded (<= 4096 slots).
+uint32_t LpmTable::RootBitsFor(const TableSpec& spec) {
   uint32_t bits = 0;
-  while ((1u << (bits + 1)) <= spec_.size) ++bits;
-  root_bits_ = std::min(
-      {bits > 6 ? bits - 6 : 0, 12u, spec_.key_width_bits});
-  dirty_slots_.assign(size_t{1} << root_bits_, false);
-  Root* initial = new Root;
-  initial->root_bits = root_bits_;
-  initial->slots.resize(size_t{1} << root_bits_);
-  published_.store(initial, std::memory_order_release);
+  while ((1u << (bits + 1)) <= spec.size) ++bits;
+  return std::min({bits > 6 ? bits - 6 : 0, 12u, spec.key_width_bits});
 }
 
+std::unique_ptr<LpmTable::Root> LpmTable::EmptyRoot(uint32_t root_bits) {
+  auto root = std::make_unique<Root>();
+  root->root_bits = root_bits;
+  root->slots.resize(size_t{1} << root_bits);
+  return root;
+}
+
+LpmTable::LpmTable(TableSpec spec, mem::Pool& pool, mem::LogicalTable storage)
+    : MatchTable(std::move(spec), pool, std::move(storage)),
+      root_(std::make_unique<Node>()),
+      root_bits_(RootBitsFor(spec_)),
+      view_(EmptyRoot(root_bits_)),
+      dirty_slots_(size_t{1} << root_bits_, false) {}
+
 LpmTable::~LpmTable() {
-  delete published_.load(std::memory_order_relaxed);
   // Free the trie iteratively; recursive destruction of a deep chain of
   // unique_ptrs can overflow the stack for adversarial prefix sets.
   std::vector<std::unique_ptr<Node>> stack;
@@ -38,7 +39,6 @@ LpmTable::~LpmTable() {
 }
 
 void LpmTable::MarkDirty(const Entry& entry) {
-  any_dirty_ = true;
   if (entry.prefix_len <= root_bits_) {
     // Short prefixes live in the per-slot leaf array, rebuilt wholesale.
     short_dirty_ = true;
@@ -53,14 +53,6 @@ void LpmTable::MarkDirty(const Entry& entry) {
 }
 
 Status LpmTable::InsertOp(const Entry& entry, bool upsert) {
-  if (entry.key.bit_width() != spec_.key_width_bits) {
-    return InvalidArgument("lpm table '" + spec_.name +
-                           "': key width mismatch");
-  }
-  if (entry.prefix_len > spec_.key_width_bits) {
-    return InvalidArgument("lpm table '" + spec_.name +
-                           "': prefix length exceeds key width");
-  }
   Node* node = root_.get();
   for (uint32_t i = 0; i < entry.prefix_len; ++i) {
     int b = KeyBitMsb(entry.key, i) ? 1 : 0;
@@ -69,59 +61,37 @@ Status LpmTable::InsertOp(const Entry& entry, bool upsert) {
   }
   if (node->row >= 0) {
     if (!upsert) {
-      return AlreadyExists("lpm table '" + spec_.name +
-                           "': duplicate prefix");
+      return AlreadyExists(Describe() + ": duplicate prefix");
     }
-    uint32_t row = static_cast<uint32_t>(node->row);
-    IPSA_RETURN_IF_ERROR(storage_.WriteRow(*pool_, row, PackRow(entry)));
-    MarkDirty(entry);
-    MaybePublish();
-    return OkStatus();
+    IPSA_RETURN_IF_ERROR(storage_.WriteRow(
+        *pool_, static_cast<uint32_t>(node->row), PackRow(entry)));
+  } else {
+    IPSA_ASSIGN_OR_RETURN(uint32_t row, AddRow(entry));
+    node->row = static_cast<int32_t>(row);
   }
-  if (free_rows_.empty()) {
-    return ResourceExhausted("lpm table '" + spec_.name + "' is full");
-  }
-  uint32_t row = free_rows_.back();
-  IPSA_RETURN_IF_ERROR(storage_.WriteRow(*pool_, row, PackRow(entry)));
-  free_rows_.pop_back();
-  node->row = static_cast<int32_t>(row);
-  entry_count_.fetch_add(1, std::memory_order_relaxed);
   MarkDirty(entry);
-  MaybePublish();
+  Changed();
   return OkStatus();
 }
 
-Status LpmTable::Erase(const Entry& entry) {
+Status LpmTable::EraseOp(const Entry& entry) {
   Node* node = root_.get();
   for (uint32_t i = 0; i < entry.prefix_len && node != nullptr; ++i) {
     node = node->child[KeyBitMsb(entry.key, i) ? 1 : 0].get();
   }
   if (node == nullptr || node->row < 0) {
-    return NotFound("lpm table '" + spec_.name + "': prefix not present");
+    return NotFound(Describe() + ": prefix not present");
   }
-  uint32_t row = static_cast<uint32_t>(node->row);
-  IPSA_RETURN_IF_ERROR(storage_.InvalidateRow(*pool_, row));
-  free_rows_.push_back(row);
+  IPSA_RETURN_IF_ERROR(ReleaseRow(static_cast<uint32_t>(node->row)));
   node->row = -1;
-  entry_count_.fetch_sub(1, std::memory_order_relaxed);
   MarkDirty(entry);
-  MaybePublish();
+  Changed();
   return OkStatus();
 }
 
-void LpmTable::MaybePublish() {
-  if (!in_batch_) Publish();
-}
-
-void LpmTable::EndBatch() {
-  in_batch_ = false;
-  Publish();
-}
-
 void LpmTable::Publish() {
-  if (!any_dirty_) return;
-  const Root* old = published_.load(std::memory_order_relaxed);
-  Root* next = new Root;
+  const Root* old = &view_.Current();
+  auto next = std::make_unique<Root>();
   next->root_bits = root_bits_;
   size_t slot_count = size_t{1} << root_bits_;
   next->slots.resize(slot_count);
@@ -155,18 +125,15 @@ void LpmTable::Publish() {
     slot.shard =
         dirty_slots_[v] ? BuildShard(walk, row_leaf) : old->slots[v].shard;
   }
-  published_.store(next, std::memory_order_release);
-  rcu::Domain::Global().Retire(const_cast<Root*>(old));
+  view_.Store(std::move(next));
   std::fill(dirty_slots_.begin(), dirty_slots_.end(), false);
   short_dirty_ = false;
-  any_dirty_ = false;
-  rcu::Domain::Global().Synchronize();
 }
 
-std::shared_ptr<const LpmTable::ShardView> LpmTable::BuildShard(
+std::shared_ptr<const LpmTable::SlotTrie> LpmTable::BuildShard(
     const Node* base, std::vector<int32_t>& row_leaf) const {
   if (base == nullptr || (!base->child[0] && !base->child[1])) return nullptr;
-  auto view = std::make_shared<ShardView>();
+  auto view = std::make_shared<SlotTrie>();
   BuildStrideNode(base, root_bits_, *view, row_leaf);
   for (const Leaf& l : view->leaves) row_leaf[l.row] = -1;
   return view;
@@ -178,7 +145,7 @@ std::shared_ptr<const LpmTable::ShardView> LpmTable::BuildShard(
 // stride continues. Unused high values of a partial final stride stay at -1
 // and are never indexed by Lookup.
 int32_t LpmTable::BuildStrideNode(const Node* n, uint32_t depth,
-                                  ShardView& view,
+                                  SlotTrie& view,
                                   std::vector<int32_t>& row_leaf) const {
   uint32_t s = std::min(kStrideBits, spec_.key_width_bits - depth);
   int32_t self = static_cast<int32_t>(view.nodes.size());
@@ -216,7 +183,7 @@ int32_t LpmTable::BuildStrideNode(const Node* n, uint32_t depth,
 
 void LpmTable::LookupInto(const mem::BitString& key, LookupResult& out) const {
   rcu::Domain::ReadGuard guard(rcu::Domain::Global());
-  const Root* root = published_.load(std::memory_order_acquire);
+  const Root* root = view_.Load();
   uint32_t width = spec_.key_width_bits;
   uint32_t rb = root->root_bits;
   uint32_t top =
@@ -227,7 +194,7 @@ void LpmTable::LookupInto(const mem::BitString& key, LookupResult& out) const {
                          : nullptr;
   // Reading through the shared_ptr without copying it is safe: the Root is
   // immutable and epoch-protected, and it holds the shard alive.
-  const ShardView* shard = slot.shard.get();
+  const SlotTrie* shard = slot.shard.get();
   if (shard != nullptr && !shard->nodes.empty()) {
     uint32_t consumed = rb;
     int32_t node = 0;
@@ -252,8 +219,7 @@ void LpmTable::RefreshCache() {
   // Pool rows were rewritten underneath us: re-decode everything.
   std::fill(dirty_slots_.begin(), dirty_slots_.end(), true);
   short_dirty_ = true;
-  any_dirty_ = true;
-  Publish();
+  Changed();
 }
 
 }  // namespace ipsa::table

@@ -11,19 +11,19 @@
 // a mutation republishes one shard (~size/4096 entries) instead of
 // rebuilding one giant stride table per op.
 //
-// Publication is RCU: mutations mark shards dirty; Publish() rebuilds only
-// the dirty shards, shares the untouched ones by reference, swaps the Root
-// pointer atomically and retires the old Root. Between BeginBatch/EndBatch
-// the publish is deferred, so a bulk frame costs one swap + one grace
-// period. Lookups pin an epoch, walk one slot + one shard, and never take a
-// lock or observe a torn view.
+// Publication is RCU through MatchTable: mutations mark shards dirty and
+// call Changed(); Publish() rebuilds only the dirty shards, shares the
+// untouched ones by reference and stores the new Root through
+// Published<Root>. Outside a batch that happens per op; between
+// BeginBatch/EndBatch it is deferred, so a bulk frame costs one swap + one
+// grace period and lookups keep the pre-batch Root until EndBatch. Lookups
+// pin an epoch, walk one slot + one shard, and never take a lock or
+// observe a torn view.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
-#include "table/rcu.h"
 #include "table/table.h"
 
 namespace ipsa::table {
@@ -33,16 +33,14 @@ class LpmTable : public MatchTable {
   LpmTable(TableSpec spec, mem::Pool& pool, mem::LogicalTable storage);
   ~LpmTable() override;
 
-  Status Erase(const Entry& entry) override;
   void LookupInto(const mem::BitString& key, LookupResult& out) const override;
   void RefreshCache() override;
-  void BeginBatch() override { in_batch_ = true; }
-  void EndBatch() override;
-
-  uint32_t shard_count() const { return 1u << root_bits_; }
 
  protected:
   Status InsertOp(const Entry& entry, bool upsert) override;
+  Status EraseOp(const Entry& entry) override;
+  // Rebuilds dirty shards / short leaves into a fresh Root and stores it.
+  void Publish() override;
 
  private:
   // Canonical writer-side trie node.
@@ -71,14 +69,14 @@ class LpmTable : public MatchTable {
 
   // Immutable stride trie over the key bits below the root partition, for
   // one slot's long prefixes. Shared between successive Roots while clean.
-  struct ShardView {
+  struct SlotTrie {
     std::vector<StrideNode> nodes;  // [0] = root level when non-empty
     std::vector<Leaf> leaves;
   };
 
   struct SlotRef {
     int32_t short_leaf = -1;  // Root::short_leaves index, -1 = none
-    std::shared_ptr<const ShardView> shard;  // null = no long prefixes
+    std::shared_ptr<const SlotTrie> shard;  // null = no long prefixes
   };
 
   // The published view. Immutable after the atomic swap; reclaimed through
@@ -94,25 +92,22 @@ class LpmTable : public MatchTable {
     return key.GetBit(spec_.key_width_bits - 1 - i);
   }
 
-  // Rebuilds dirty shards / short leaves into a fresh Root, swaps it in and
-  // retires the old one.
-  void Publish();
-  void MaybePublish();
-  std::shared_ptr<const ShardView> BuildShard(
+  // Slot bits for a table of `spec`: ~64 entries per shard, so a shard
+  // rebuild stays small while slot fan-out stays bounded (<= 4096 slots).
+  static uint32_t RootBitsFor(const TableSpec& spec);
+  static std::unique_ptr<Root> EmptyRoot(uint32_t root_bits);
+  std::shared_ptr<const SlotTrie> BuildShard(
       const Node* base, std::vector<int32_t>& row_leaf) const;
-  int32_t BuildStrideNode(const Node* n, uint32_t depth, ShardView& view,
+  int32_t BuildStrideNode(const Node* n, uint32_t depth, SlotTrie& view,
                           std::vector<int32_t>& row_leaf) const;
   void MarkDirty(const Entry& entry);
 
   std::unique_ptr<Node> root_;
-  std::vector<uint32_t> free_rows_;
 
-  uint32_t root_bits_ = 0;
-  std::atomic<const Root*> published_{nullptr};
+  const uint32_t root_bits_;
+  Published<Root> view_;
   std::vector<bool> dirty_slots_;  // writer-side, slot index = top R bits
   bool short_dirty_ = false;       // a prefix of length <= R changed
-  bool any_dirty_ = false;
-  bool in_batch_ = false;
 };
 
 }  // namespace ipsa::table

@@ -6,41 +6,41 @@
 // bucket while distinct flows spread across them. The controller programs
 // buckets with `Entry.key` = bucket index.
 //
-// Concurrency: the populated-member list and decoded actions live in an
-// immutable published View (selector groups are small — a full snapshot per
-// publish is cheap); lookups read it under an RCU epoch pin, so a member
-// add/remove swaps the whole group atomically and a flow never hashes into
-// a half-updated member set.
+// Concurrency: the writer keeps the decoded members (bucket row + action)
+// in bucket order, decoding a member once when it is written. Publish()
+// copies them into an immutable View (selector groups are small — a full
+// snapshot per publish is cheap) and stores it through Published<View>;
+// lookups read it under an RCU epoch pin, so a member add/remove swaps the
+// whole group atomically and a flow never hashes into a half-updated member
+// set. Inside a batch, lookups keep the pre-batch group until EndBatch.
 #pragma once
 
-#include <atomic>
 #include <vector>
 
-#include "table/rcu.h"
 #include "table/table.h"
 
 namespace ipsa::table {
 
 class SelectorTable : public MatchTable {
  public:
-  SelectorTable(TableSpec spec, mem::Pool& pool, mem::LogicalTable storage);
-  ~SelectorTable() override;
+  SelectorTable(TableSpec spec, mem::Pool& pool, mem::LogicalTable storage)
+      : MatchTable(std::move(spec), pool, std::move(storage)) {}
 
-  Status Erase(const Entry& entry) override;
   // Hashes `key` over the populated buckets.
   void LookupInto(const mem::BitString& key, LookupResult& out) const override;
   void RefreshCache() override;
-  void BeginBatch() override { in_batch_ = true; }
-  void EndBatch() override;
 
   uint32_t BucketCount() const {
-    return static_cast<uint32_t>(populated_.size());
+    return static_cast<uint32_t>(members_.size());
   }
 
  protected:
-  // entry.key holds the bucket index (low bits); upserts overwrite the
-  // member, strict adds fail on an already-populated bucket.
+  // entry.key holds the bucket index, which is also the member's row;
+  // upserts overwrite the member, strict adds fail on an already-populated
+  // bucket.
   Status InsertOp(const Entry& entry, bool upsert) override;
+  Status EraseOp(const Entry& entry) override;
+  void Publish() override;
 
  private:
   struct Member {
@@ -51,15 +51,13 @@ class SelectorTable : public MatchTable {
     std::vector<Member> members;  // ascending bucket order
   };
 
-  void Publish();
-  void MaybePublish();
+  // The member at bucket `row`, or where it would be inserted.
+  std::vector<Member>::iterator LowerBound(uint32_t row);
 
-  // Rows that currently hold a member, in ascending bucket order
-  // (writer-side; lookups use the published snapshot).
-  std::vector<uint32_t> populated_;
-  std::atomic<const View*> published_{nullptr};
-  bool dirty_ = false;
-  bool in_batch_ = false;
+  // Writer-side members, ascending bucket order; lookups use the published
+  // copy.
+  std::vector<Member> members_;
+  Published<View> view_;
 };
 
 }  // namespace ipsa::table

@@ -48,6 +48,90 @@ mem::BitString MatchTable::PackRow(const Entry& e) const {
   return row;
 }
 
+std::string MatchTable::Describe() const {
+  return std::string(MatchKindName(spec_.match_kind)) + " table '" +
+         spec_.name + "'";
+}
+
+Status MatchTable::CheckEntry(const Entry& entry) const {
+  const uint32_t width = spec_.key_width_bits;
+  switch (spec_.match_kind) {
+    case MatchKind::kSelector:
+      // entry.key holds the bucket index.
+      if (entry.key.ToUint64() >= spec_.size) {
+        return OutOfRange(Describe() + ": bucket index beyond table size");
+      }
+      return OkStatus();
+    case MatchKind::kTernary:
+      if (entry.key.bit_width() != width || entry.mask.bit_width() != width) {
+        return InvalidArgument(Describe() + ": key/mask width mismatch");
+      }
+      return OkStatus();
+    case MatchKind::kExact:
+    case MatchKind::kLpm:
+      break;
+  }
+  if (entry.key.bit_width() != width) {
+    return InvalidArgument(Describe() + ": key width mismatch");
+  }
+  if (spec_.match_kind == MatchKind::kLpm && entry.prefix_len > width) {
+    return InvalidArgument(Describe() + ": prefix length exceeds key width");
+  }
+  return OkStatus();
+}
+
+Status MatchTable::Insert(const Entry& entry) {
+  IPSA_RETURN_IF_ERROR(CheckEntry(entry));
+  return InsertOp(entry, true);
+}
+
+Status MatchTable::InsertUnique(const Entry& entry) {
+  IPSA_RETURN_IF_ERROR(CheckEntry(entry));
+  return InsertOp(entry, false);
+}
+
+Status MatchTable::Erase(const Entry& entry) {
+  IPSA_RETURN_IF_ERROR(CheckEntry(entry));
+  return EraseOp(entry);
+}
+
+void MatchTable::Commit() {
+  if (!dirty_) return;
+  dirty_ = false;
+  Publish();
+  rcu::Domain::Global().Synchronize();
+}
+
+Result<uint32_t> MatchTable::AddRow(const Entry& entry) {
+  const bool reuse = !free_rows_.empty();
+  if (!reuse && fresh_rows_ == spec_.size) {
+    return ResourceExhausted(Describe() + " is full");
+  }
+  const uint32_t row = reuse ? free_rows_.back() : fresh_rows_;
+  IPSA_RETURN_IF_ERROR(storage_.WriteRow(*pool_, row, PackRow(entry)));
+  if (spec_.match_kind == MatchKind::kTernary) {
+    // The mask plane covers the key bits only; aux/action bits are
+    // don't-care.
+    mem::BitString full_mask(RowWidthBits());
+    full_mask.SetBitsFrom(0, entry.mask, 0, spec_.key_width_bits);
+    IPSA_RETURN_IF_ERROR(storage_.WriteMask(*pool_, row, full_mask));
+  }
+  if (reuse) {
+    free_rows_.pop_back();
+  } else {
+    ++fresh_rows_;
+  }
+  entry_count_.fetch_add(1, std::memory_order_relaxed);
+  return row;
+}
+
+Status MatchTable::ReleaseRow(uint32_t row) {
+  IPSA_RETURN_IF_ERROR(storage_.InvalidateRow(*pool_, row));
+  free_rows_.push_back(row);
+  entry_count_.fetch_sub(1, std::memory_order_relaxed);
+  return OkStatus();
+}
+
 void MatchTable::AddCounts(uint32_t block_row, uint64_t hits,
                            uint64_t misses) const {
   if (hits != 0) {

@@ -7,6 +7,12 @@
 // (hash map / trie / priority list) accelerates the behavioral-model lookup
 // exactly like bmv2 does, while reads are still charged against the pool
 // for the throughput model.
+//
+// MatchTable owns the write path every match kind shares: entry checks, row
+// allocation, batching and commits (the layer's only Synchronize call). A
+// kind keeps its writer-side index and lookup view: InsertOp/EraseOp, a
+// Publish() that swaps a new view in (through Published<View> for lpm,
+// selector and ternary), and a Changed() call after each mutation.
 #pragma once
 
 #include <atomic>
@@ -19,6 +25,7 @@
 #include "mem/crossbar.h"
 #include "mem/logical_table.h"
 #include "mem/pool.h"
+#include "table/rcu.h"
 #include "util/status.h"
 
 namespace ipsa::table {
@@ -120,23 +127,28 @@ class MatchTable {
   // (one read per grid column each), and `misses` misses.
   void AddCounts(uint32_t block_row, uint64_t hits, uint64_t misses) const;
 
+  // Each entry op first passes CheckEntry: a malformed entry fails with
+  // kInvalidArgument/kOutOfRange and mutates nothing.
   // Upsert: a duplicate identity (key / prefix / masked key) updates the
   // existing entry in place, the historical behavior every caller relies on.
-  Status Insert(const Entry& entry) { return InsertOp(entry, true); }
+  Status Insert(const Entry& entry);
   // Strict add: a duplicate identity fails with kAlreadyExists and mutates
   // nothing. The streamed bulk-insert RPC uses this so a duplicate key
   // mid-window surfaces as a per-entry status instead of a silent upsert.
-  Status InsertUnique(const Entry& entry) { return InsertOp(entry, false); }
-  virtual Status Erase(const Entry& entry) = 0;
+  Status InsertUnique(const Entry& entry);
+  Status Erase(const Entry& entry);
 
-  // Batched publication: between BeginBatch and EndBatch, mutations update
-  // the writer-side index but may defer publishing new lookup views until
-  // EndBatch — one atomic swap (and one RCU grace period) amortized over
-  // the whole batch instead of per op. Lookups keep serving the last
-  // published view meanwhile: a bulk frame becomes visible atomically.
-  // Calls never nest; EndBatch without a pending batch is a no-op.
-  virtual void BeginBatch() {}
-  virtual void EndBatch() {}
+  // Batched publication: between BeginBatch and EndBatch, ops update the
+  // writer-side index and EndBatch publishes once, with one RCU grace
+  // period. Lookups on lpm, selector and ternary tables keep the pre-batch
+  // view until then, so the batch lands atomically; exact-table ops are
+  // visible as each lands and only their grace period waits. Calls never
+  // nest; EndBatch without a pending batch is a no-op.
+  void BeginBatch() { in_batch_ = true; }
+  void EndBatch() {
+    in_batch_ = false;
+    Commit();
+  }
 
   // Fills `out` in place, reusing its BitString capacity — zero allocations
   // in steady state. The hot-path entry point; it counts nothing, so the
@@ -155,9 +167,10 @@ class MatchTable {
     return out;
   }
 
-  // Re-decodes every cached action from the pool rows. Called after writes
-  // that bypass Insert/Erase (e.g. in-situ template updates re-binding
-  // storage) so the software index never serves stale bits.
+  // Re-decodes every cached action from the pool rows and publishes the
+  // result like any other change. Called after writes that bypass
+  // Insert/Erase (e.g. in-situ template updates re-binding storage) so the
+  // software index never serves stale bits.
   virtual void RefreshCache() = 0;
 
   // Tears down pool storage; the table is unusable afterwards.
@@ -171,9 +184,32 @@ class MatchTable {
   uint32_t FreeRows() const { return spec_.size - entry_count(); }
 
  protected:
-  virtual Status InsertOp(const Entry& entry, bool upsert) = 0;
   MatchTable(TableSpec spec, mem::Pool& pool, mem::LogicalTable storage)
       : spec_(std::move(spec)), pool_(&pool), storage_(std::move(storage)) {}
+
+  // The kind's index mutations, run only on entries CheckEntry accepted.
+  virtual Status InsertOp(const Entry& entry, bool upsert) = 0;
+  virtual Status EraseOp(const Entry& entry) = 0;
+  // Swaps in a view built from the writer-side index; Commit then runs the
+  // grace period. Exact chains are linked in place, so exact keeps the no-op.
+  virtual void Publish() {}
+
+  // After a mutation that needs a new view or retired something: commits
+  // at once unless a batch is open.
+  void Changed() {
+    dirty_ = true;
+    if (!in_batch_) Commit();
+  }
+
+  // Claims the next free row (LIFO: freed rows first, then fresh rows from
+  // row 0 up), writes `entry` into it (and its mask plane for ternary) and
+  // counts the entry. Fails with kResourceExhausted when the table is full.
+  Result<uint32_t> AddRow(const Entry& entry);
+  // Invalidates `row`, returns it to the free list and uncounts the entry.
+  Status ReleaseRow(uint32_t row);
+
+  // "<kind> table '<name>'", the prefix of every error this layer returns.
+  std::string Describe() const;
 
   // Fills a miss result. Misses charge the bus cycles of the (parallel)
   // search but no pool row fetch, matching the original Lookup paths.
@@ -216,6 +252,45 @@ class MatchTable {
   std::atomic<uint32_t> entry_count_{0};
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
+
+ private:
+  // Key width (exact, lpm, ternary), mask width (ternary), prefix length
+  // (lpm) and bucket index (selector) against the spec.
+  Status CheckEntry(const Entry& entry) const;
+  // Publish() and Synchronize, if anything changed since the last commit.
+  void Commit();
+
+  // Writer-only state.
+  bool in_batch_ = false;
+  bool dirty_ = false;
+  std::vector<uint32_t> free_rows_;  // released rows, reused LIFO
+  uint32_t fresh_rows_ = 0;          // rows [0, fresh_rows_) were handed out
+};
+
+// One RCU-published lookup view. Readers Load() it under an rcu::Domain pin;
+// the writer Store()s a replacement (release store, old view retired, freed
+// after MatchTable::Commit's grace period). The last view dies with it.
+template <typename View>
+class Published {
+ public:
+  explicit Published(std::unique_ptr<View> initial = std::make_unique<View>())
+      : view_(initial.release()) {}
+  ~Published() { delete view_.load(std::memory_order_relaxed); }
+  Published(const Published&) = delete;
+  Published& operator=(const Published&) = delete;
+
+  const View* Load() const { return view_.load(std::memory_order_acquire); }
+  // The writer's own read of the live view; only the writer replaces it.
+  const View& Current() const { return *view_.load(std::memory_order_relaxed); }
+
+  void Store(std::unique_ptr<View> next) {
+    const View* old = view_.load(std::memory_order_relaxed);
+    view_.store(next.release(), std::memory_order_release);
+    rcu::Domain::Global().Retire(const_cast<View*>(old));
+  }
+
+ private:
+  std::atomic<const View*> view_;
 };
 
 inline void LookupTally::Count(const MatchTable& table,

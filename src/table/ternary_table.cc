@@ -4,18 +4,6 @@
 
 namespace ipsa::table {
 
-TernaryTable::TernaryTable(TableSpec spec, mem::Pool& pool,
-                           mem::LogicalTable storage)
-    : MatchTable(std::move(spec), pool, std::move(storage)) {
-  free_rows_.reserve(spec_.size);
-  for (uint32_t r = spec_.size; r > 0; --r) free_rows_.push_back(r - 1);
-  published_.store(new View, std::memory_order_release);
-}
-
-TernaryTable::~TernaryTable() {
-  delete published_.load(std::memory_order_relaxed);
-}
-
 std::vector<uint64_t> TernaryTable::Words(const mem::BitString& bits) {
   std::vector<uint64_t> w(bits.WordCount());
   for (size_t i = 0; i < w.size(); ++i) w[i] = bits.Word(i);
@@ -36,31 +24,12 @@ TernaryTable::MaskBucket* TernaryTable::MutableBucket(size_t idx) {
 }
 
 void TernaryTable::Publish() {
-  if (!dirty_) return;
-  const View* old = published_.load(std::memory_order_relaxed);
-  View* next = new View;
+  auto next = std::make_unique<View>();
   next->buckets.assign(buckets_.begin(), buckets_.end());
-  published_.store(next, std::memory_order_release);
-  rcu::Domain::Global().Retire(const_cast<View*>(old));
-  dirty_ = false;
-  rcu::Domain::Global().Synchronize();
-}
-
-void TernaryTable::MaybePublish() {
-  if (!in_batch_) Publish();
-}
-
-void TernaryTable::EndBatch() {
-  in_batch_ = false;
-  Publish();
+  view_.Store(std::move(next));
 }
 
 Status TernaryTable::InsertOp(const Entry& entry, bool upsert) {
-  if (entry.key.bit_width() != spec_.key_width_bits ||
-      entry.mask.bit_width() != spec_.key_width_bits) {
-    return InvalidArgument("ternary table '" + spec_.name +
-                           "': key/mask width mismatch");
-  }
   int bucket_idx = FindBucket(entry.mask);
   if (bucket_idx >= 0) {
     const MaskBucket& peek = *buckets_[static_cast<size_t>(bucket_idx)];
@@ -71,28 +40,17 @@ Status TernaryTable::InsertOp(const Entry& entry, bool upsert) {
       // Same (key&mask, mask) identity updates in place, keeping the
       // entry's original priority and position.
       if (!upsert) {
-        return AlreadyExists("ternary table '" + spec_.name +
-                             "': duplicate masked key");
+        return AlreadyExists(Describe() + ": duplicate masked key");
       }
       uint32_t row = peek.entries[e].row;
       IPSA_RETURN_IF_ERROR(storage_.WriteRow(*pool_, row, PackRow(entry)));
       MaskBucket* bucket = MutableBucket(static_cast<size_t>(bucket_idx));
       bucket->entries[e].action = DecodeRow(row);
-      dirty_ = true;
-      MaybePublish();
+      Changed();
       return OkStatus();
     }
   }
-  if (free_rows_.empty()) {
-    return ResourceExhausted("ternary table '" + spec_.name + "' is full");
-  }
-  uint32_t row = free_rows_.back();
-  IPSA_RETURN_IF_ERROR(storage_.WriteRow(*pool_, row, PackRow(entry)));
-  // The mask plane covers the key bits only; aux/action bits are don't-care.
-  mem::BitString full_mask(RowWidthBits());
-  full_mask.SetBitsFrom(0, entry.mask, 0, spec_.key_width_bits);
-  IPSA_RETURN_IF_ERROR(storage_.WriteMask(*pool_, row, full_mask));
-  free_rows_.pop_back();
+  IPSA_ASSIGN_OR_RETURN(uint32_t row, AddRow(entry));
 
   MaskBucket* bucket;
   if (bucket_idx < 0) {
@@ -122,13 +80,11 @@ Status TernaryTable::InsertOp(const Entry& entry, bool upsert) {
       });
   bucket->entries.insert(pos, std::move(ie));
   bucket->max_priority = std::max(bucket->max_priority, entry.priority);
-  entry_count_.fetch_add(1, std::memory_order_relaxed);
-  dirty_ = true;
-  MaybePublish();
+  Changed();
   return OkStatus();
 }
 
-Status TernaryTable::Erase(const Entry& entry) {
+Status TernaryTable::EraseOp(const Entry& entry) {
   for (size_t i = 0; i < buckets_.size(); ++i) {
     if (!(buckets_[i]->mask == entry.mask)) continue;
     const MaskBucket& peek = *buckets_[i];
@@ -136,8 +92,7 @@ Status TernaryTable::Erase(const Entry& entry) {
       if (!peek.entries[e].key.MatchesUnderMask(entry.key, entry.mask)) {
         continue;
       }
-      IPSA_RETURN_IF_ERROR(storage_.InvalidateRow(*pool_, peek.entries[e].row));
-      free_rows_.push_back(peek.entries[e].row);
+      IPSA_RETURN_IF_ERROR(ReleaseRow(peek.entries[e].row));
       if (peek.entries.size() == 1) {
         buckets_.erase(buckets_.begin() + static_cast<ptrdiff_t>(i));
       } else {
@@ -147,19 +102,17 @@ Status TernaryTable::Erase(const Entry& entry) {
         // Entries are priority-sorted, so the front holds the max.
         bucket->max_priority = bucket->entries.front().priority;
       }
-      entry_count_.fetch_sub(1, std::memory_order_relaxed);
-      dirty_ = true;
-      MaybePublish();
+      Changed();
       return OkStatus();
     }
   }
-  return NotFound("ternary table '" + spec_.name + "': entry not present");
+  return NotFound(Describe() + ": entry not present");
 }
 
 void TernaryTable::LookupInto(const mem::BitString& key,
                               LookupResult& out) const {
   rcu::Domain::ReadGuard guard(rcu::Domain::Global());
-  const View* view = published_.load(std::memory_order_acquire);
+  const View* view = view_.Load();
   const IndexEntry* best = nullptr;
   for (const auto& bptr : view->buckets) {
     const MaskBucket& b = *bptr;
@@ -198,8 +151,7 @@ void TernaryTable::RefreshCache() {
     MaskBucket* bucket = MutableBucket(i);
     for (IndexEntry& ie : bucket->entries) ie.action = DecodeRow(ie.row);
   }
-  dirty_ = true;
-  Publish();
+  Changed();
 }
 
 }  // namespace ipsa::table

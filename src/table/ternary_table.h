@@ -13,33 +13,30 @@
 // Concurrency: lookups read an immutable published View (a snapshot of
 // shared_ptr'd buckets) under an RCU epoch pin. The writer mutates a bucket
 // copy-on-write — cloning it only while a published view still references
-// it — and republishes the View with one atomic swap. Between
-// BeginBatch/EndBatch publication is deferred so a bulk frame becomes
+// it — and Publish() stores a new View through Published<View>. Between
+// BeginBatch/EndBatch publication is deferred, so a bulk frame becomes
 // visible (and pays its grace period) once.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
-#include "table/rcu.h"
 #include "table/table.h"
 
 namespace ipsa::table {
 
 class TernaryTable : public MatchTable {
  public:
-  TernaryTable(TableSpec spec, mem::Pool& pool, mem::LogicalTable storage);
-  ~TernaryTable() override;
+  TernaryTable(TableSpec spec, mem::Pool& pool, mem::LogicalTable storage)
+      : MatchTable(std::move(spec), pool, std::move(storage)) {}
 
-  Status Erase(const Entry& entry) override;
   void LookupInto(const mem::BitString& key, LookupResult& out) const override;
   void RefreshCache() override;
-  void BeginBatch() override { in_batch_ = true; }
-  void EndBatch() override;
 
  protected:
   Status InsertOp(const Entry& entry, bool upsert) override;
+  Status EraseOp(const Entry& entry) override;
+  void Publish() override;
 
  private:
   struct IndexEntry {
@@ -70,16 +67,11 @@ class TernaryTable : public MatchTable {
   // still shares it (use_count observed > 1 is a safe over-approximation;
   // an undercount only happens once the old view's grace period elapsed).
   MaskBucket* MutableBucket(size_t idx);
-  void Publish();
-  void MaybePublish();
   static std::vector<uint64_t> Words(const mem::BitString& bits);
 
   std::vector<std::shared_ptr<MaskBucket>> buckets_;  // writer-side
-  std::atomic<const View*> published_{nullptr};
-  std::vector<uint32_t> free_rows_;
+  Published<View> view_;
   uint64_t next_seq_ = 0;
-  bool dirty_ = false;
-  bool in_batch_ = false;
 };
 
 }  // namespace ipsa::table

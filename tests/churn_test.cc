@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -180,6 +181,119 @@ TEST(TableChurnTest, TernaryOldOrNewNeverTorn) {
 
 TEST(TableChurnTest, SelectorOldOrNewNeverTorn) {
   RunTableChurn(table::MatchKind::kSelector, 48, 16, 64, 12000);
+}
+
+// Batch visibility under concurrent readers. Each round the writer opens a
+// batch, upserts every key to the round's version, raises `mid` to that
+// version, waits for readers to look up, lowers `mid` and ends the batch. A
+// lookup bracketed by two reads of the same raised `mid` ran after the
+// round's ops and before its EndBatch, so it must see the pre-batch version
+// (lpm, selector, ternary) or the round's own version (exact, whose ops are
+// visible as they land).
+void RunBatchVisibilityChurn(table::MatchKind kind, uint32_t key_width,
+                             bool visible_as_ops_land) {
+  constexpr uint32_t kKeys = 8;
+  constexpr uint32_t kRounds = 100;
+  mem::PoolConfig cfg;
+  cfg.sram_blocks = 16;
+  cfg.sram_width_bits = 128;
+  cfg.sram_depth = 256;
+  cfg.tcam_blocks = 4;
+  cfg.tcam_width_bits = 128;
+  cfg.tcam_depth = 64;
+  mem::Pool pool(cfg);
+
+  table::TableSpec spec;
+  spec.name = "batch";
+  spec.match_kind = kind;
+  spec.key_width_bits = key_width;
+  spec.action_data_width_bits = 32;
+  spec.size = 64;
+  auto created = table::CreateTable(spec, pool, 1);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  table::MatchTable& t = **created;
+  for (uint32_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(t.Insert(ChurnEntry(kind, key_width, k, 0)).ok());
+  }
+
+  std::atomic<uint32_t> mid{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> checked{0};
+  ChurnFailure failure;
+
+  auto reader = [&](uint64_t seed) {
+    util::Rng rng(seed);
+    table::LookupResult r;
+    mem::BitString key;
+    while (!done.load(std::memory_order_acquire) &&
+           !failure.failed.load(std::memory_order_relaxed)) {
+      uint32_t k = static_cast<uint32_t>(rng.NextBelow(kKeys));
+      key = kind == table::MatchKind::kSelector
+                ? mem::BitString(key_width, rng.Next())
+                : mem::BitString(key_width, KeyValueFor(kind, k));
+      uint32_t m0 = mid.load(std::memory_order_acquire);
+      t.LookupInto(key, r);
+      uint32_t m1 = mid.load(std::memory_order_acquire);
+      if (!r.hit) {
+        failure.Record("miss on a key that is never erased");
+        return;
+      }
+      if (m0 == 0 || m0 != m1) continue;
+      uint32_t version = static_cast<uint32_t>(r.action_data.ToUint64()) &
+                         0xFFFF;
+      uint32_t want = visible_as_ops_land ? m0 : m0 - 1;
+      if (version != want) {
+        failure.Record("mid-batch lookup in round " + std::to_string(m0) +
+                       " saw version " + std::to_string(version) +
+                       ", want " + std::to_string(want));
+        return;
+      }
+      checked.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+
+  std::thread r1(reader, 0xBA7C4ull);
+  std::thread r2(reader, 0x5EED5ull);
+  for (uint32_t v = 1;
+       v <= kRounds && !failure.failed.load(std::memory_order_relaxed); ++v) {
+    t.BeginBatch();
+    for (uint32_t k = 0; k < kKeys; ++k) {
+      Status s = t.Insert(ChurnEntry(kind, key_width, k, v));
+      if (!s.ok()) failure.Record("writer: " + s.ToString());
+    }
+    const uint64_t before = checked.load(std::memory_order_relaxed);
+    mid.store(v, std::memory_order_release);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (checked.load(std::memory_order_relaxed) == before &&
+           !failure.failed.load(std::memory_order_relaxed) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    mid.store(0, std::memory_order_release);
+    t.EndBatch();
+  }
+  done.store(true, std::memory_order_release);
+  r1.join();
+  r2.join();
+  ASSERT_FALSE(failure.failed.load()) << failure.detail;
+  EXPECT_GT(checked.load(), 0u) << "no lookup landed inside a batch";
+}
+
+TEST(TableChurnTest, ExactBatchOpsVisibleAsTheyLand) {
+  RunBatchVisibilityChurn(table::MatchKind::kExact, 32, true);
+}
+
+TEST(TableChurnTest, LpmBatchVisibleOnlyAtEndBatch) {
+  RunBatchVisibilityChurn(table::MatchKind::kLpm, 32, false);
+}
+
+TEST(TableChurnTest, TernaryBatchVisibleOnlyAtEndBatch) {
+  RunBatchVisibilityChurn(table::MatchKind::kTernary, 32, false);
+}
+
+TEST(TableChurnTest, SelectorBatchVisibleOnlyAtEndBatch) {
+  RunBatchVisibilityChurn(table::MatchKind::kSelector, 48, false);
 }
 
 // --- device-level churn ------------------------------------------------------

@@ -208,6 +208,60 @@ TEST_F(SwitchdTest, LoopbackForwardingMatchesInProcessDevice) {
   EXPECT_GT(switchd_->counters().udp_tx, 0u);
 }
 
+// A delete or modify whose entry the table's spec rejects fails over the
+// wire with an error status and leaves the table as it was: a /33 "delete"
+// of a /32 route must neither crash the daemon nor remove the route.
+TEST_F(SwitchdTest, OverlongPrefixDeleteFailsAndKeepsTheRoute) {
+  StartDaemon(ArchKind::kIpsa);
+  rpc::Client client(MakeClientOptions(switchd_->control_port()));
+  ASSERT_TRUE(client
+                  .Install(rpc::InstallKind::kBaseP4,
+                           controller::designs::BaseP4())
+                  .ok());
+  auto api = client.FetchApi();
+  ASSERT_TRUE(api.ok());
+  std::vector<rpc::TableOp> ops =
+      CollectOps(*api, &controller::PopulateBaseline);
+  ASSERT_TRUE(client.ApplyBatch(ops).ok());
+
+  IpsaBackend ref;
+  ASSERT_TRUE(
+      ref.Install(rpc::InstallKind::kBaseP4, controller::designs::BaseP4())
+          .ok());
+  for (const rpc::TableOp& op : ops) {
+    ASSERT_TRUE(ref.ApplyTableOp(op).ok());
+  }
+
+  // Destination 4 is past the host table, so its /32 decides the port (4)
+  // over the covering /8 (port 0).
+  controller::BaselineConfig config;
+  constexpr uint32_t kDst = 4;
+  ASSERT_NE(config.PortOfNexthop(config.NexthopOf(kDst)),
+            config.PortOfNexthop(config.NexthopOf(0)));
+  const rpc::TableOp* route = nullptr;
+  for (const rpc::TableOp& op : ops) {
+    if (op.table == "ipv4_lpm" && op.entry.prefix_len == 32 &&
+        op.entry.key.ToUint64() == config.v4_dst_base + kDst) {
+      route = &op;
+    }
+  }
+  ASSERT_NE(route, nullptr);
+  table::Entry overlong = route->entry;
+  overlong.prefix_len = 33;
+  EXPECT_EQ(client.DeleteEntry("ipv4_lpm", overlong).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(client.ModifyEntry("ipv4_lpm", overlong).code(),
+            StatusCode::kInvalidArgument);
+
+  auto stats = client.QueryStats();
+  ASSERT_TRUE(stats.ok());
+  uint64_t entries = 0;
+  for (const auto& row : stats->tables) entries += row.entries;
+  EXPECT_EQ(entries, ops.size());
+  RegisterPeers();
+  AssertForwardsLikeReference(ref, kDst, 4000);
+}
+
 // The pipelined bulk stream over loopback, with a duplicate key injected
 // mid-stream: the duplicate must surface as one per-entry failure in its
 // frame's ack (strict kAdd), while the stream keeps going, every other op

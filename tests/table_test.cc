@@ -773,6 +773,195 @@ TEST(TableLargeSpecTest, LpmFillsRowsPastDefaultCapacity) {
   EXPECT_FALSE((*t)->Lookup(mem::BitString(16, 2000)).hit);
 }
 
+// --- entry checks ------------------------------------------------------------
+//
+// Erase runs the same spec checks as Insert: an entry the table could never
+// hold fails and leaves the table untouched, instead of aliasing (or
+// crashing on) an entry the table does hold.
+
+TEST_F(TableTest, ExactEraseRejectsWrongKeyWidth) {
+  auto t = CreateTable(Spec("t", MatchKind::kExact, 32), pool_, 1);
+  ASSERT_TRUE(t.ok());
+  ASSERT_TRUE((*t)->Insert(MakeEntry(5, 32, 1, 7)).ok());
+  // The same key bytes, one bit narrower.
+  EXPECT_EQ((*t)->Erase(MakeEntry(5, 31, 0, 0)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*t)->entry_count(), 1u);
+  EXPECT_EQ((*t)->Lookup(mem::BitString(32, 5)).action_data.ToUint64(), 7u);
+}
+
+TEST_F(TableTest, LpmEraseRejectsOverlongPrefix) {
+  auto t = CreateTable(Spec("fib", MatchKind::kLpm, 32), pool_, 1);
+  ASSERT_TRUE(t.ok());
+  Entry host = MakeEntry(0x0A0B0C0D, 32, 1, 32);
+  host.prefix_len = 32;
+  ASSERT_TRUE((*t)->Insert(host).ok());
+  Entry overlong = host;
+  overlong.prefix_len = 33;
+  EXPECT_EQ((*t)->Erase(overlong).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ((*t)->entry_count(), 1u);
+  EXPECT_EQ((*t)->Lookup(mem::BitString(32, 0x0A0B0C0D)).action_data
+                .ToUint64(),
+            32u);
+}
+
+TEST_F(TableTest, SelectorEraseRejectsBucketBeyondSize) {
+  auto t = CreateTable(Spec("ecmp", MatchKind::kSelector, 48, 128), pool_, 1);
+  ASSERT_TRUE(t.ok());
+  for (uint32_t b = 0; b < 8; ++b) {
+    ASSERT_TRUE((*t)->Insert(MakeEntry(b, 48, 1, 100 + b)).ok());
+  }
+  // Bucket 2^32 + 3 must not truncate to bucket 3.
+  EXPECT_EQ((*t)->Erase(MakeEntry((1ull << 32) + 3, 48, 0, 0)).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ((*t)->entry_count(), 8u);
+  std::set<uint64_t> picked;
+  for (uint64_t f = 0; f < 1000; ++f) {
+    picked.insert(
+        (*t)->Lookup(mem::BitString(48, f * 0x9E3779B9)).action_data
+            .ToUint64());
+  }
+  EXPECT_EQ(picked.count(103), 1u) << "bucket 3 lost its member";
+  EXPECT_EQ(picked.size(), 8u);
+}
+
+TEST_F(TableTest, TernaryEraseRejectsNarrowKey) {
+  auto t = CreateTable(Spec("acl", MatchKind::kTernary, 32), pool_, 1);
+  ASSERT_TRUE(t.ok());
+  Entry e = MakeEntry(0xAB000005, 32, 1, 9);
+  e.mask = mem::BitString(32, 0xFFFFFFFF);
+  e.priority = 1;
+  ASSERT_TRUE((*t)->Insert(e).ok());
+  // An 8-bit key under the full mask agrees with the entry's low byte only.
+  Entry narrow = MakeEntry(0x05, 8, 0, 0);
+  narrow.mask = e.mask;
+  EXPECT_EQ((*t)->Erase(narrow).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ((*t)->entry_count(), 1u);
+  EXPECT_EQ((*t)->Lookup(mem::BitString(32, 0xAB000005)).action_data
+                .ToUint64(),
+            9u);
+}
+
+// Rows come from one shared LIFO allocator: fresh rows from row 0 up, a
+// released row is the next one handed out.
+TEST_F(TableTest, RowsAreHandedOutFromZeroAndReusedLifo) {
+  for (MatchKind kind :
+       {MatchKind::kExact, MatchKind::kLpm, MatchKind::kTernary}) {
+    SCOPED_TRACE(std::string(MatchKindName(kind)));
+    mem::Pool pool(TestPool());
+    auto t = CreateTable(Spec("t", kind, 32), pool, 1);
+    ASSERT_TRUE(t.ok());
+    auto entry = [&](uint64_t key) {
+      Entry e = MakeEntry(key, 32, 1, key);
+      e.prefix_len = kind == MatchKind::kLpm ? 32 : 0;
+      if (kind == MatchKind::kTernary) {
+        e.mask = mem::BitString(32, 0xFFFFFFFF);
+      }
+      return e;
+    };
+    auto row_of = [&](uint64_t key) {
+      LookupResult r = (*t)->Lookup(mem::BitString(32, key));
+      EXPECT_TRUE(r.hit) << key;
+      return r.row;
+    };
+    for (uint64_t k = 10; k < 13; ++k) ASSERT_TRUE((*t)->Insert(entry(k)).ok());
+    EXPECT_EQ(row_of(10), 0u);
+    EXPECT_EQ(row_of(11), 1u);
+    EXPECT_EQ(row_of(12), 2u);
+    ASSERT_TRUE((*t)->Erase(entry(11)).ok());
+    ASSERT_TRUE((*t)->Insert(entry(20)).ok());
+    ASSERT_TRUE((*t)->Insert(entry(21)).ok());
+    EXPECT_EQ(row_of(20), 1u);
+    EXPECT_EQ(row_of(21), 3u);
+  }
+}
+
+// --- batch visibility --------------------------------------------------------
+//
+// Between BeginBatch and EndBatch the lpm, selector and ternary tables keep
+// serving the pre-batch view, so a batch becomes visible at EndBatch in one
+// swap. The exact table serves each op as it lands; only its grace period
+// waits for EndBatch.
+
+Entry KindEntry(MatchKind kind, uint64_t key, uint64_t data) {
+  Entry e = MakeEntry(key, 32, 1, data);
+  if (kind == MatchKind::kLpm) e.prefix_len = 32;
+  if (kind == MatchKind::kTernary) {
+    e.mask = mem::BitString(32, 0xFFFFFFFF);
+    e.priority = 1;
+  }
+  return e;
+}
+
+// Action data at `key`, or -1 on a miss.
+int64_t DataAt(const MatchTable& t, uint64_t key) {
+  LookupResult r = t.Lookup(mem::BitString(32, key));
+  return r.hit ? static_cast<int64_t>(r.action_data.ToUint64()) : -1;
+}
+
+// Upserts key 1, adds key 3 and erases key 2 inside one batch, looking up
+// after every op.
+void ExpectBatchVisibility(MatchKind kind, bool visible_as_ops_land) {
+  mem::Pool pool(TestPool());
+  auto created = CreateTable(Spec("t", kind, 32), pool, 1);
+  ASSERT_TRUE(created.ok());
+  MatchTable& t = **created;
+  ASSERT_TRUE(t.Insert(KindEntry(kind, 1, 10)).ok());
+  ASSERT_TRUE(t.Insert(KindEntry(kind, 2, 20)).ok());
+
+  t.BeginBatch();
+  ASSERT_TRUE(t.Insert(KindEntry(kind, 1, 11)).ok());
+  EXPECT_EQ(DataAt(t, 1), visible_as_ops_land ? 11 : 10);
+  ASSERT_TRUE(t.Insert(KindEntry(kind, 3, 30)).ok());
+  EXPECT_EQ(DataAt(t, 3), visible_as_ops_land ? 30 : -1);
+  ASSERT_TRUE(t.Erase(KindEntry(kind, 2, 0)).ok());
+  EXPECT_EQ(DataAt(t, 2), visible_as_ops_land ? -1 : 20);
+  EXPECT_EQ(t.entry_count(), 2u);  // the writer-side index is current
+  t.EndBatch();
+
+  EXPECT_EQ(DataAt(t, 1), 11);
+  EXPECT_EQ(DataAt(t, 2), -1);
+  EXPECT_EQ(DataAt(t, 3), 30);
+}
+
+TEST_F(TableTest, ExactBatchServesEachOpAsItLands) {
+  ExpectBatchVisibility(MatchKind::kExact, /*visible_as_ops_land=*/true);
+}
+
+TEST_F(TableTest, LpmBatchServesPreBatchViewUntilEndBatch) {
+  ExpectBatchVisibility(MatchKind::kLpm, /*visible_as_ops_land=*/false);
+}
+
+TEST_F(TableTest, TernaryBatchServesPreBatchViewUntilEndBatch) {
+  ExpectBatchVisibility(MatchKind::kTernary, /*visible_as_ops_land=*/false);
+}
+
+TEST_F(TableTest, SelectorBatchServesPreBatchViewUntilEndBatch) {
+  auto t = CreateTable(Spec("ecmp", MatchKind::kSelector, 48, 128), pool_, 1);
+  ASSERT_TRUE(t.ok());
+  ASSERT_TRUE((*t)->Insert(MakeEntry(0, 48, 1, 100)).ok());
+  ASSERT_TRUE((*t)->Insert(MakeEntry(1, 48, 1, 101)).ok());
+  auto members = [&] {
+    std::set<uint64_t> picked;
+    for (uint64_t f = 0; f < 256; ++f) {
+      picked.insert((*t)->Lookup(mem::BitString(48, f * 0x9E3779B9))
+                        .action_data.ToUint64());
+    }
+    return picked;
+  };
+  const std::set<uint64_t> before{100, 101};
+  ASSERT_EQ(members(), before);
+
+  (*t)->BeginBatch();
+  ASSERT_TRUE((*t)->Insert(MakeEntry(0, 48, 1, 200)).ok());
+  EXPECT_EQ(members(), before);
+  ASSERT_TRUE((*t)->Erase(MakeEntry(1, 48, 0, 0)).ok());
+  EXPECT_EQ(members(), before);
+  (*t)->EndBatch();
+
+  EXPECT_EQ(members(), std::set<uint64_t>{200});
+}
+
 // --- RCU reader pins -------------------------------------------------------
 
 // Flags its own deletion, so a test can watch the grace period end.
