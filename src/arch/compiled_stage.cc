@@ -263,13 +263,13 @@ Status WriteCompiledField(const CompiledField& f, PacketContext& ctx,
   return OkStatus();
 }
 
-// Scalar-lane variant: `v` is masked to <= 64 bits and the destination is at
+// Narrow variant: `v` is masked to <= 64 bits and the destination is at
 // most 64 bits wide. Metadata writes store the value masked to the slot
 // width (a narrow slot), which equals SlotWrite's truncate/zero-extend
 // assignment; wire writes mask the value at the field width, which equals
 // WriteWireBits reading missing high bits as zero.
-Status WriteCompiledFieldScalar(const CompiledField& f, PacketContext& ctx,
-                                uint64_t v) {
+Status WriteCompiledField64(const CompiledField& f, PacketContext& ctx,
+                            uint64_t v) {
   if (f.is_meta) {
     ctx.metadata().NarrowWrite(f.meta_slot, v);
     return OkStatus();
@@ -349,186 +349,325 @@ Result<mem::BitString> EvalCompiled(const CompiledExpr& e,
 }
 
 // ---------------------------------------------------------------------------
-// Scalar lane
+// Flat programs
 // ---------------------------------------------------------------------------
 //
-// Expression subtrees whose every node fits in 64 bits (!wide, the common
-// case) evaluate on masked (value, width) pairs instead of BitString
-// temporaries. The invariant is that `v` always has zero bits above `width`,
-// which makes truthiness `v != 0`, makes CompareBits an unsigned integer
-// compare, and makes the arithmetic kernels' modular semantics plain 64-bit
-// wrap-around followed by a mask. Every error string matches the BitString
-// lane exactly so the two lanes are observably identical.
-
-struct Scalar {
-  uint64_t v = 0;
-  uint32_t width = 1;
-};
+// Expression trees whose every node fits in 64 bits (!wide, the common
+// case) are lowered at compile time into a post-order program (see
+// FlatInsn) that one loop evaluates over a fixed-size uint64_t stack. The
+// invariant is that every stack value has zero bits above its static
+// width, which makes truthiness `v != 0`, makes CompareBits an unsigned
+// integer compare, and makes the arithmetic kernels' modular semantics
+// plain 64-bit wrap-around followed by a mask. Every error string matches
+// the BitString evaluator exactly so the two are observably identical.
 
 constexpr uint64_t MaskOf(uint32_t width) {
   return width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
 }
 
-Scalar ScalarBool(bool b) { return {b ? uint64_t{1} : 0, 1}; }
+bool IsCompare(Expr::Op op) {
+  switch (op) {
+    case Expr::Op::kEq:
+    case Expr::Op::kNe:
+    case Expr::Op::kLt:
+    case Expr::Op::kLe:
+    case Expr::Op::kGt:
+    case Expr::Op::kGe:
+      return true;
+    default:
+      return false;
+  }
+}
 
-Result<Scalar> EvalScalar(const CompiledExpr& e, const CompiledEnv& env) {
+// Appends the post-order program of `e` to `code` and returns the static
+// width of the value it leaves on the stack. `depth` is the stack height
+// before `e` runs; `peak` records the highest height reached.
+uint32_t Emit(const CompiledExpr& e, std::vector<FlatInsn>& code,
+              uint32_t depth, uint32_t& peak) {
+  using Code = FlatInsn::Code;
+  peak = std::max(peak, depth + 1);
+  FlatInsn in;
   switch (e.kind) {
     case Expr::Kind::kConst:
-      return Scalar{e.constant.ToUint64(),
-                    static_cast<uint32_t>(e.constant.bit_width())};
-    case Expr::Kind::kField: {
-      const CompiledField& f = e.field;
-      if (f.is_meta) {
-        return Scalar{env.ctx->metadata().NarrowRead(f.meta_slot),
-                      f.width_bits};
-      }
-      const HeaderInstance* h = FindValid(*env.ctx, f.instance);
-      if (h == nullptr) return InvalidInstance(*env.ctx, f.instance);
-      return Scalar{
-          ReadWire64(env.ctx->packet().bytes(),
-                     static_cast<size_t>(h->byte_offset) * 8 + f.offset_bits,
-                     f.width_bits),
-          f.width_bits};
-    }
-    case Expr::Kind::kRaw: {
-      IPSA_ASSIGN_OR_RETURN(Scalar off, EvalScalar(*e.lhs, env));
-      PacketContext& ctx = *env.ctx;
-      const HeaderInstance* h = FindValid(ctx, e.instance);
-      if (h == nullptr) return InvalidInstance(ctx, e.instance);
-      size_t abs = static_cast<size_t>(h->byte_offset) * 8 +
-                   static_cast<uint32_t>(off.v);
-      if (abs + e.raw_width > ctx.packet().size() * 8) {
-        return OutOfRange("raw read beyond packet end");
-      }
-      return Scalar{ReadWire64(ctx.packet().bytes(), abs, e.raw_width),
-                    e.raw_width};
-    }
-    case Expr::Kind::kParam: {
-      if (env.args == nullptr) {
-        return FailedPrecondition("no action arguments bound");
-      }
-      if (e.param_offset + e.param_width <= env.args->bit_width()) {
-        return Scalar{env.args->GetBits(e.param_offset, e.param_width),
-                      e.param_width};
-      }
-      return Scalar{0, e.param_width};
-    }
-    case Expr::Kind::kRegister: {
-      if (env.regs == nullptr) {
-        return FailedPrecondition("no register file available");
-      }
-      IPSA_ASSIGN_OR_RETURN(Scalar idx, EvalScalar(*e.lhs, env));
-      IPSA_ASSIGN_OR_RETURN(uint64_t v,
-                            env.regs->Read(e.reg, static_cast<size_t>(idx.v)));
-      return Scalar{v, 64};
-    }
+      in.code = Code::kConst;
+      in.imm = e.constant.ToUint64();
+      in.width = static_cast<uint32_t>(e.constant.bit_width());
+      break;
+    case Expr::Kind::kField:
+      in.code = e.field.is_meta ? Code::kMeta : Code::kWire;
+      in.arg = e.field.is_meta ? static_cast<uint32_t>(e.field.meta_slot)
+                               : e.field.offset_bits;
+      in.instance = e.field.instance;
+      in.width = e.field.width_bits;
+      break;
+    case Expr::Kind::kRaw:
+      Emit(*e.lhs, code, depth, peak);
+      in.code = Code::kRaw;
+      in.instance = e.instance;
+      in.width = e.raw_width;
+      break;
+    case Expr::Kind::kParam:
+      in.code = Code::kParam;
+      in.arg = e.param_offset;
+      in.width = e.param_width;
+      break;
+    case Expr::Kind::kRegister:
+      // The register file is checked before the index is evaluated.
+      code.push_back(FlatInsn{.code = Code::kNeedRegs});
+      Emit(*e.lhs, code, depth, peak);
+      in.code = Code::kRegister;
+      in.reg = &e.reg;
+      in.width = 64;
+      break;
     case Expr::Kind::kIsValid:
-      return ScalarBool(FindValid(*env.ctx, e.instance) != nullptr);
+      in.code = Code::kIsValid;
+      in.instance = e.instance;
+      in.width = 1;
+      break;
     case Expr::Kind::kUnary: {
-      IPSA_ASSIGN_OR_RETURN(Scalar a, EvalScalar(*e.lhs, env));
-      if (e.op == Expr::Op::kNot) return ScalarBool(a.v == 0);
-      if (e.op == Expr::Op::kBitNot) {
-        return Scalar{~a.v & MaskOf(a.width), a.width};
-      }
-      return InternalError("bad unary op");
+      uint32_t w = Emit(*e.lhs, code, depth, peak);
+      in.code = Code::kUnary;
+      in.op = e.op;
+      in.width = e.op == Expr::Op::kBitNot ? w : 1;
+      break;
     }
     case Expr::Kind::kBinary: {
       if (e.op == Expr::Op::kAnd || e.op == Expr::Op::kOr) {
-        IPSA_ASSIGN_OR_RETURN(Scalar a, EvalScalar(*e.lhs, env));
-        bool ta = a.v != 0;
-        if (e.op == Expr::Op::kAnd && !ta) return ScalarBool(false);
-        if (e.op == Expr::Op::kOr && ta) return ScalarBool(true);
-        IPSA_ASSIGN_OR_RETURN(Scalar b, EvalScalar(*e.rhs, env));
-        return ScalarBool(b.v != 0);
+        Emit(*e.lhs, code, depth, peak);
+        const size_t jump = code.size();
+        code.push_back(FlatInsn{.code = e.op == Expr::Op::kAnd
+                                            ? Code::kAndJump
+                                            : Code::kOrJump,
+                                .width = 1});
+        Emit(*e.rhs, code, depth, peak);
+        in.code = Code::kTruthy;
+        in.width = 1;
+        code.push_back(in);
+        code[jump].arg = static_cast<uint32_t>(code.size());
+        return 1;
       }
-      IPSA_ASSIGN_OR_RETURN(Scalar a, EvalScalar(*e.lhs, env));
-      IPSA_ASSIGN_OR_RETURN(Scalar b, EvalScalar(*e.rhs, env));
-      // Masked values compare as unsigned integers, identical to the
-      // byte-wise CompareBits on <=64-bit strings.
-      switch (e.op) {
-        case Expr::Op::kEq:
-          return ScalarBool(a.v == b.v);
-        case Expr::Op::kNe:
-          return ScalarBool(a.v != b.v);
-        case Expr::Op::kLt:
-          return ScalarBool(a.v < b.v);
-        case Expr::Op::kLe:
-          return ScalarBool(a.v <= b.v);
-        case Expr::Op::kGt:
-          return ScalarBool(a.v > b.v);
-        case Expr::Op::kGe:
-          return ScalarBool(a.v >= b.v);
-        default:
-          break;
-      }
-      uint32_t width = std::max(a.width, b.width);  // operand widths <= 64
-      uint64_t r = 0;
-      switch (e.op) {
-        case Expr::Op::kAdd:
-          r = a.v + b.v;
-          break;
-        case Expr::Op::kSub:
-          r = a.v - b.v;
-          break;
-        case Expr::Op::kMul:
-          r = a.v * b.v;
-          break;
-        case Expr::Op::kBitAnd:
-          r = a.v & b.v;
-          break;
-        case Expr::Op::kBitOr:
-          r = a.v | b.v;
-          break;
-        case Expr::Op::kBitXor:
-          r = a.v ^ b.v;
-          break;
-        case Expr::Op::kShl:
-          r = b.v >= 64 ? 0 : a.v << b.v;
-          break;
-        case Expr::Op::kShr:
-          r = b.v >= 64 ? 0 : a.v >> b.v;
-          break;
-        case Expr::Op::kSatAdd: {
-          uint64_t m = MaskOf(width);
-          uint64_t sum = a.v + b.v;
-          r = (sum < a.v || sum > m) ? m : sum;
-          break;
-        }
-        case Expr::Op::kFxpQuantize: {
-          uint64_t m = MaskOf(width);
-          if (a.v == 0) {
-            r = 0;
-          } else if (b.v >= width) {
-            r = m;
-          } else {
-            r = a.v > (m >> b.v) ? m : (a.v << b.v);
-          }
-          break;
-        }
-        case Expr::Op::kFxpDequantize: {
-          if (b.v == 0) {
-            r = a.v;
-          } else if (b.v > 64) {
-            r = 0;
-          } else {
-            uint64_t q = b.v == 64 ? 0 : a.v >> b.v;
-            r = q + ((a.v >> (b.v - 1)) & 1);
-          }
-          break;
-        }
-        default:
-          return InternalError("bad binary op");
-      }
-      return Scalar{r & MaskOf(width), width};
+      uint32_t wa = Emit(*e.lhs, code, depth, peak);
+      uint32_t wb = Emit(*e.rhs, code, depth + 1, peak);
+      in.code = Code::kBinary;
+      in.op = e.op;
+      in.width = IsCompare(e.op) ? 1 : std::max(wa, wb);
+      break;
     }
   }
-  return InternalError("bad expression kind");
+  code.push_back(in);
+  return in.width;
+}
+
+// Lowers a narrow tree into its flat program. A tree too deep for the
+// fixed stack (no real design comes close) stays on the BitString
+// evaluator, which computes the same values.
+void Lower(CompiledExpr& e) {
+  if (e.wide) return;
+  uint32_t peak = 0;
+  Emit(e, e.program, 0, peak);
+  if (peak > kFlatStackDepth) {
+    e.program.clear();
+    e.wide = true;
+  }
+}
+
+void LowerOps(std::vector<CompiledOp>& ops) {
+  for (CompiledOp& op : ops) {
+    for (CompiledExprPtr* e :
+         {&op.value, &op.offset, &op.index, &op.cond, &op.push_size}) {
+      if (*e != nullptr) Lower(**e);
+    }
+    LowerOps(op.then_ops);
+    LowerOps(op.else_ops);
+  }
+}
+
+// Runs a flat program; the value it leaves is the expression's value.
+Result<uint64_t> RunFlat(const std::vector<FlatInsn>& code,
+                         const CompiledEnv& env) {
+  using Code = FlatInsn::Code;
+  PacketContext& ctx = *env.ctx;
+  uint64_t stack[kFlatStackDepth];
+  uint64_t* top = stack;  // one past the top value
+  const size_t n = code.size();
+  for (size_t pc = 0; pc < n;) {
+    const FlatInsn& in = code[pc++];
+    switch (in.code) {
+      case Code::kConst:
+        *top++ = in.imm;
+        break;
+      case Code::kMeta:
+        *top++ = ctx.metadata().NarrowRead(static_cast<int>(in.arg));
+        break;
+      case Code::kWire: {
+        const HeaderInstance* h = FindValid(ctx, in.instance);
+        if (h == nullptr) return InvalidInstance(ctx, in.instance);
+        *top++ = ReadWire64(ctx.packet().bytes(),
+                            static_cast<size_t>(h->byte_offset) * 8 + in.arg,
+                            in.width);
+        break;
+      }
+      case Code::kRaw: {
+        const HeaderInstance* h = FindValid(ctx, in.instance);
+        if (h == nullptr) return InvalidInstance(ctx, in.instance);
+        size_t abs = static_cast<size_t>(h->byte_offset) * 8 +
+                     static_cast<uint32_t>(top[-1]);
+        if (abs + in.width > ctx.packet().size() * 8) {
+          return OutOfRange("raw read beyond packet end");
+        }
+        top[-1] = ReadWire64(ctx.packet().bytes(), abs, in.width);
+        break;
+      }
+      case Code::kParam:
+        if (env.args == nullptr) {
+          return FailedPrecondition("no action arguments bound");
+        }
+        // Zero-fill when the entry's action_data is too short for the
+        // parameter (same as BindActionArgs).
+        *top++ = in.arg + in.width <= env.args->bit_width()
+                     ? env.args->GetBits(in.arg, in.width)
+                     : 0;
+        break;
+      case Code::kNeedRegs:
+        if (env.regs == nullptr) {
+          return FailedPrecondition("no register file available");
+        }
+        break;
+      case Code::kRegister: {
+        IPSA_ASSIGN_OR_RETURN(
+            top[-1], env.regs->Read(*in.reg, static_cast<size_t>(top[-1])));
+        break;
+      }
+      case Code::kIsValid:
+        *top++ = FindValid(ctx, in.instance) != nullptr ? 1 : 0;
+        break;
+      case Code::kUnary:
+        if (in.op == Expr::Op::kNot) {
+          top[-1] = top[-1] == 0 ? 1 : 0;
+        } else if (in.op == Expr::Op::kBitNot) {
+          top[-1] = ~top[-1] & MaskOf(in.width);
+        } else {
+          return InternalError("bad unary op");
+        }
+        break;
+      case Code::kAndJump:
+        // A false left operand is the result (0); skip the right one.
+        if (top[-1] == 0) {
+          pc = in.arg;
+        } else {
+          --top;
+        }
+        break;
+      case Code::kOrJump:
+        if (top[-1] != 0) {
+          top[-1] = 1;
+          pc = in.arg;
+        } else {
+          --top;
+        }
+        break;
+      case Code::kTruthy:
+        top[-1] = top[-1] != 0 ? 1 : 0;
+        break;
+      case Code::kBinary: {
+        const uint64_t b = *--top;
+        const uint64_t a = top[-1];
+        const uint32_t width = in.width;  // max operand width (<= 64)
+        uint64_t r = 0;
+        switch (in.op) {
+          case Expr::Op::kEq:
+            r = a == b;
+            break;
+          case Expr::Op::kNe:
+            r = a != b;
+            break;
+          case Expr::Op::kLt:
+            r = a < b;
+            break;
+          case Expr::Op::kLe:
+            r = a <= b;
+            break;
+          case Expr::Op::kGt:
+            r = a > b;
+            break;
+          case Expr::Op::kGe:
+            r = a >= b;
+            break;
+          case Expr::Op::kAdd:
+            r = a + b;
+            break;
+          case Expr::Op::kSub:
+            r = a - b;
+            break;
+          case Expr::Op::kMul:
+            r = a * b;
+            break;
+          case Expr::Op::kBitAnd:
+            r = a & b;
+            break;
+          case Expr::Op::kBitOr:
+            r = a | b;
+            break;
+          case Expr::Op::kBitXor:
+            r = a ^ b;
+            break;
+          case Expr::Op::kShl:
+            r = b >= 64 ? 0 : a << b;
+            break;
+          case Expr::Op::kShr:
+            r = b >= 64 ? 0 : a >> b;
+            break;
+          case Expr::Op::kSatAdd: {
+            const uint64_t m = MaskOf(width);
+            const uint64_t sum = a + b;
+            r = (sum < a || sum > m) ? m : sum;
+            break;
+          }
+          case Expr::Op::kFxpQuantize: {
+            const uint64_t m = MaskOf(width);
+            if (a == 0) {
+              r = 0;
+            } else if (b >= width) {
+              r = m;
+            } else {
+              r = a > (m >> b) ? m : (a << b);
+            }
+            break;
+          }
+          case Expr::Op::kFxpDequantize:
+            if (b == 0) {
+              r = a;
+            } else if (b > 64) {
+              r = 0;
+            } else {
+              const uint64_t q = b == 64 ? 0 : a >> b;
+              r = q + ((a >> (b - 1)) & 1);
+            }
+            break;
+          default:
+            return InternalError("bad binary op");
+        }
+        top[-1] = r & MaskOf(width);
+        break;
+      }
+    }
+  }
+  return stack[0];
+}
+
+// The low 64 bits of a compiled expression's value: its flat program when
+// narrow, else the BitString evaluator's.
+Result<uint64_t> EvalCompiledU64(const CompiledExpr& e,
+                                 const CompiledEnv& env) {
+  if (!e.wide) return RunFlat(e.program, env);
+  IPSA_ASSIGN_OR_RETURN(mem::BitString v, EvalCompiled(e, env));
+  return v.ToUint64();
 }
 
 Result<bool> EvalCompiledBool(const CompiledExpr& e, const CompiledEnv& env) {
   if (!e.wide) {
-    IPSA_ASSIGN_OR_RETURN(Scalar v, EvalScalar(e, env));
-    return v.v != 0;
+    IPSA_ASSIGN_OR_RETURN(uint64_t v, RunFlat(e.program, env));
+    return v != 0;
   }
   IPSA_ASSIGN_OR_RETURN(mem::BitString v, EvalCompiled(e, env));
   return BitsTruthy(v);
@@ -545,32 +684,24 @@ Status RunCompiledOp(const CompiledOp& op, const CompiledEnv& env) {
       return OkStatus();
     case ActionOp::Kind::kAssign: {
       if (!op.value->wide && op.dest.width_bits <= 64) {
-        IPSA_ASSIGN_OR_RETURN(Scalar v, EvalScalar(*op.value, env));
-        return WriteCompiledFieldScalar(op.dest, ctx, v.v);
+        IPSA_ASSIGN_OR_RETURN(uint64_t v, RunFlat(op.value->program, env));
+        return WriteCompiledField64(op.dest, ctx, v);
       }
       IPSA_ASSIGN_OR_RETURN(mem::BitString v, EvalCompiled(*op.value, env));
       return WriteCompiledField(op.dest, ctx, v);
     }
     case ActionOp::Kind::kAssignRaw: {
-      uint32_t off_v;
-      if (!op.offset->wide) {
-        IPSA_ASSIGN_OR_RETURN(Scalar off, EvalScalar(*op.offset, env));
-        off_v = static_cast<uint32_t>(off.v);
-      } else {
-        IPSA_ASSIGN_OR_RETURN(mem::BitString off,
-                              EvalCompiled(*op.offset, env));
-        off_v = static_cast<uint32_t>(off.ToUint64());
-      }
+      IPSA_ASSIGN_OR_RETURN(uint64_t off, EvalCompiledU64(*op.offset, env));
       IPSA_ASSIGN_OR_RETURN(mem::BitString v, EvalCompiled(*op.value, env));
       const HeaderInstance* h = FindValid(ctx, op.instance);
       if (h == nullptr) return InvalidInstance(ctx, op.instance);
-      return ctx.WriteRaw(*h, off_v, op.raw_width, v);
+      return ctx.WriteRaw(*h, static_cast<uint32_t>(off), op.raw_width, v);
     }
     case ActionOp::Kind::kPushHeader: {
       uint32_t size = op.push_def->fixed_size_bytes();
       if (op.push_size != nullptr) {
-        IPSA_ASSIGN_OR_RETURN(mem::BitString s, EvalCompiled(*op.push_size, env));
-        size = static_cast<uint32_t>(s.ToUint64());
+        IPSA_ASSIGN_OR_RETURN(uint64_t s, EvalCompiledU64(*op.push_size, env));
+        size = static_cast<uint32_t>(s);
       }
       uint32_t at = 0;
       if (op.after_instance != kNoHeader) {
@@ -610,28 +741,17 @@ Status RunCompiledOp(const CompiledOp& op, const CompiledEnv& env) {
       ctx.metadata().SlotWriteUint(op.dest.meta_slot, 1);
       return OkStatus();
     case ActionOp::Kind::kForward: {
-      if (!op.value->wide) {
-        IPSA_ASSIGN_OR_RETURN(Scalar v, EvalScalar(*op.value, env));
-        ctx.metadata().SlotWriteUint(op.dest.meta_slot, v.v);
-        return OkStatus();
-      }
-      IPSA_ASSIGN_OR_RETURN(mem::BitString v, EvalCompiled(*op.value, env));
-      ctx.metadata().SlotWriteUint(op.dest.meta_slot, v.ToUint64());
+      IPSA_ASSIGN_OR_RETURN(uint64_t v, EvalCompiledU64(*op.value, env));
+      ctx.metadata().SlotWriteUint(op.dest.meta_slot, v);
       return OkStatus();
     }
     case ActionOp::Kind::kRegWrite: {
       if (env.regs == nullptr) {
         return FailedPrecondition("no register file for RegWrite");
       }
-      if (!op.index->wide && !op.value->wide) {
-        IPSA_ASSIGN_OR_RETURN(Scalar idx, EvalScalar(*op.index, env));
-        IPSA_ASSIGN_OR_RETURN(Scalar v, EvalScalar(*op.value, env));
-        return env.regs->Write(op.reg, static_cast<size_t>(idx.v), v.v);
-      }
-      IPSA_ASSIGN_OR_RETURN(mem::BitString idx, EvalCompiled(*op.index, env));
-      IPSA_ASSIGN_OR_RETURN(mem::BitString v, EvalCompiled(*op.value, env));
-      return env.regs->Write(op.reg, static_cast<size_t>(idx.ToUint64()),
-                             v.ToUint64());
+      IPSA_ASSIGN_OR_RETURN(uint64_t idx, EvalCompiledU64(*op.index, env));
+      IPSA_ASSIGN_OR_RETURN(uint64_t v, EvalCompiledU64(*op.value, env));
+      return env.regs->Write(op.reg, static_cast<size_t>(idx), v);
     }
     case ActionOp::Kind::kIf: {
       IPSA_ASSIGN_OR_RETURN(bool taken, EvalCompiledBool(*op.cond, env));
@@ -644,10 +764,10 @@ Status RunCompiledOp(const CompiledOp& op, const CompiledEnv& env) {
                                   NameOf(ctx, op.instance) + "'");
       }
       if (op.dest.width_bits <= 64) {
-        IPSA_RETURN_IF_ERROR(WriteCompiledFieldScalar(op.dest, ctx, 0));
+        IPSA_RETURN_IF_ERROR(WriteCompiledField64(op.dest, ctx, 0));
         uint16_t sum = net::InternetChecksum(
             ctx.packet().bytes().subspan(h->byte_offset, h->size_bytes));
-        return WriteCompiledFieldScalar(op.dest, ctx, sum);
+        return WriteCompiledField64(op.dest, ctx, sum);
       }
       IPSA_RETURN_IF_ERROR(
           WriteCompiledField(op.dest, ctx, mem::BitString(16, 0)));
@@ -815,7 +935,7 @@ bool PerturbFirstAssign(std::vector<CompiledOp>& ops) {
       sum->op = Expr::Op::kAdd;
       sum->lhs = std::move(op.value);
       sum->rhs = std::move(one);
-      sum->wide = sum->lhs->wide;  // keep the lane choice consistent
+      sum->wide = sum->lhs->wide;  // keep the evaluator choice consistent
       op.value = std::move(sum);
       return true;
     }
@@ -875,11 +995,23 @@ Result<CompiledStage> CompileStage(const StageProgram& stage,
   out.uses_registers = c.uses_registers;
 
   if (g_compiled_stage_fault) {
+    bool perturbed = false;
     for (CompiledAction& a : out.branch_actions) {
-      if (PerturbFirstAssign(a.body)) return out;
+      if (PerturbFirstAssign(a.body)) {
+        perturbed = true;
+        break;
+      }
     }
-    PerturbFirstAssign(out.miss.body);
+    if (!perturbed) PerturbFirstAssign(out.miss.body);
   }
+
+  // Lower every narrow expression into its flat program, last, so the
+  // programs see the final trees.
+  for (CompiledRule& rule : out.rules) {
+    if (rule.guard != nullptr) Lower(*rule.guard);
+  }
+  for (CompiledAction& a : out.branch_actions) LowerOps(a.body);
+  LowerOps(out.miss.body);
   return out;
 }
 

@@ -14,6 +14,8 @@
 //   * header fields      -> (instance id, bit offset, width) triples
 //   * action parameters  -> bit ranges within the entry's action_data
 //
+//   * narrow expressions -> flat post-order programs over a uint64_t stack
+//
 // RunCompiledStage charges exactly the cycles RunStage charges and produces
 // bit-identical results; the fastpath regression tests assert this.
 //
@@ -47,6 +49,38 @@ struct CompiledField {
   uint32_t width_bits = 0;
 };
 
+// One instruction of a flat expression program. A narrow expression tree
+// is lowered, post-order, into a vector of these; one loop runs it over a
+// fixed-size uint64_t stack (kFlatStackDepth values), so evaluating it
+// neither recurses nor allocates. `width` is the static width of the value
+// the instruction leaves on the stack; every value is masked to it.
+struct FlatInsn {
+  enum class Code : uint8_t {
+    kConst,     // push imm
+    kMeta,      // push metadata slot `arg`
+    kWire,      // push header field: `instance`, bit offset `arg`
+    kRaw,       // pop a bit offset, push a raw read of `instance`
+    kParam,     // push action-data bits [arg, arg + width)
+    kNeedRegs,  // fail unless a register file is bound (precedes the index)
+    kRegister,  // pop an index, push register array `*reg` at it
+    kIsValid,   // push whether `instance` is valid
+    kUnary,     // `op` on the top value
+    kAndJump,   // top == 0: keep it and jump to `arg`; else pop
+    kOrJump,    // top != 0: replace it with 1 and jump to `arg`; else pop
+    kTruthy,    // top = (top != 0)
+    kBinary,    // pop b, then a op b replaces a
+  };
+  Code code = Code::kConst;
+  Expr::Op op = Expr::Op::kNone;
+  uint32_t width = 0;
+  uint32_t arg = 0;
+  HeaderId instance = kNoHeader;
+  uint64_t imm = 0;
+  const std::string* reg = nullptr;  // the tree node's register name
+};
+
+inline constexpr uint32_t kFlatStackDepth = 16;
+
 struct CompiledExpr;
 using CompiledExprPtr = std::unique_ptr<CompiledExpr>;
 
@@ -65,11 +99,14 @@ struct CompiledExpr {
   CompiledExprPtr lhs;        // kRaw offset / kRegister index / operands
   CompiledExprPtr rhs;
   // True when some node in this subtree can produce a value wider than 64
-  // bits, which forces the BitString evaluator. Set once at compile time;
-  // narrow subtrees (the common case: every field, constant and parameter
-  // in the example designs) run on the scalar lane, which evaluates on
-  // masked (uint64, width) pairs and creates no BitString temporaries.
+  // bits, which forces the BitString evaluator (EvalCompiled) over the
+  // tree. Set once at compile time. Narrow roots (the common case: every
+  // field, constant and parameter in the example designs) carry `program`,
+  // their flat lowering, and are evaluated through it alone; their tree
+  // stays only as the BitString evaluator's input where an op needs a
+  // BitString value (a raw write, a wide destination).
   bool wide = false;
+  std::vector<FlatInsn> program;  // narrow roots only
 };
 
 // An ActionOp with destinations and operands resolved.

@@ -47,42 +47,12 @@ Status RegisterFile::Write(std::string_view name, size_t index,
   return OkStatus();
 }
 
-namespace {
-
-// Loads 8 wire bytes at `p` as a big-endian integer (first byte most
-// significant).
-inline uint64_t LoadBe64(const uint8_t* p) {
-  uint64_t v;
-  std::memcpy(&v, p, 8);
-  if constexpr (std::endian::native == std::endian::little) {
-    v = __builtin_bswap64(v);
-  }
-  return v;
-}
-
-inline void StoreBe64(uint8_t* p, uint64_t v) {
-  if constexpr (std::endian::native == std::endian::little) {
-    v = __builtin_bswap64(v);
-  }
-  std::memcpy(p, &v, 8);
-}
-
-}  // namespace
-
-uint64_t ReadWire64(std::span<const uint8_t> bytes, size_t bit_offset,
-                    size_t width) {
+uint64_t ReadWire64Bytes(std::span<const uint8_t> bytes, size_t bit_offset,
+                         size_t width) {
   if (width == 0) return 0;
+  // Load the covered bytes (at most 9 for width <= 64) big-endian, then
+  // shift the field's trailing bits away.
   size_t first = bit_offset / 8;
-  size_t lead = bit_offset % 8;
-  // Common case: the field and its leading bits fit one 8-byte load that
-  // stays inside the packet. The first wire bit ends up as the value's MSB,
-  // matching the MSB-first field convention.
-  if (lead + width <= 64 && first + 8 <= bytes.size()) {
-    uint64_t v = LoadBe64(bytes.data() + first) << lead;
-    return v >> (64 - width);
-  }
-  // Otherwise load the covered bytes (at most 9 for width <= 64)
-  // big-endian, then shift the field's trailing bits away.
   size_t last = (bit_offset + width - 1) / 8;
   unsigned __int128 acc = 0;
   for (size_t b = first; b <= last; ++b) {
@@ -93,22 +63,10 @@ uint64_t ReadWire64(std::span<const uint8_t> bytes, size_t bit_offset,
   return width >= 64 ? v : v & ((uint64_t{1} << width) - 1);
 }
 
-void WriteWire64(std::span<uint8_t> bytes, size_t bit_offset, size_t width,
-                 uint64_t value) {
+void WriteWire64Bytes(std::span<uint8_t> bytes, size_t bit_offset,
+                      size_t width, uint64_t value) {
   if (width == 0) return;
   size_t first = bit_offset / 8;
-  size_t lead = bit_offset % 8;
-  if (lead + width <= 64 && first + 8 <= bytes.size()) {
-    // Same single 8-byte window as ReadWire64: read, splice, write back.
-    size_t tail = 64 - lead - width;
-    uint64_t mask = (width >= 64 ? ~uint64_t{0}
-                                 : (uint64_t{1} << width) - 1)
-                    << tail;
-    uint8_t* p = bytes.data() + first;
-    uint64_t v = LoadBe64(p);
-    StoreBe64(p, (v & ~mask) | ((value << tail) & mask));
-    return;
-  }
   size_t last = (bit_offset + width - 1) / 8;
   size_t tail = (last + 1) * 8 - (bit_offset + width);
   unsigned __int128 mask = width >= 64

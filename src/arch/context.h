@@ -3,7 +3,10 @@
 // wire order (big-endian bit ranges) and BitString values.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -144,12 +147,56 @@ mem::BitString ReadWireBits(std::span<const uint8_t> bytes, size_t bit_offset,
 void WriteWireBits(std::span<uint8_t> bytes, size_t bit_offset, size_t width,
                    const mem::BitString& value);
 
+// 8 wire bytes at `p` as a big-endian integer (first byte most significant),
+// and back.
+inline uint64_t WireLoad64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+inline void WireStore64(uint8_t* p, uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, 8);
+}
+
+// The byte-loop paths of ReadWire64/WriteWire64, for ranges the one-load
+// window below does not cover (near the packet end, or 57+ bits unaligned).
+uint64_t ReadWire64Bytes(std::span<const uint8_t> bytes, size_t bit_offset,
+                         size_t width);
+void WriteWire64Bytes(std::span<uint8_t> bytes, size_t bit_offset,
+                      size_t width, uint64_t value);
+
 // Fast scalar variants for ranges up to 64 bits: the earliest wire bit is the
-// most significant bit of the returned/written value. Byte-aligned fields of
-// any width <= 64 take the chunked load path with no per-bit work.
-uint64_t ReadWire64(std::span<const uint8_t> bytes, size_t bit_offset,
-                    size_t width);
-void WriteWire64(std::span<uint8_t> bytes, size_t bit_offset, size_t width,
-                 uint64_t value);
+// most significant bit of the returned/written value. A range whose leading
+// bits fit one 8-byte load inside the packet (the common case) is read or
+// spliced inline, with no per-bit work.
+inline uint64_t ReadWire64(std::span<const uint8_t> bytes, size_t bit_offset,
+                           size_t width) {
+  const size_t first = bit_offset / 8;
+  const size_t lead = bit_offset % 8;
+  if (width != 0 && lead + width <= 64 && first + 8 <= bytes.size()) {
+    return (WireLoad64(bytes.data() + first) << lead) >> (64 - width);
+  }
+  return ReadWire64Bytes(bytes, bit_offset, width);
+}
+inline void WriteWire64(std::span<uint8_t> bytes, size_t bit_offset,
+                        size_t width, uint64_t value) {
+  const size_t first = bit_offset / 8;
+  const size_t lead = bit_offset % 8;
+  if (width != 0 && lead + width <= 64 && first + 8 <= bytes.size()) {
+    const size_t tail = 64 - lead - width;
+    const uint64_t mask =
+        (width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1) << tail;
+    uint8_t* p = bytes.data() + first;
+    WireStore64(p, (WireLoad64(p) & ~mask) | ((value << tail) & mask));
+    return;
+  }
+  WriteWire64Bytes(bytes, bit_offset, width, value);
+}
 
 }  // namespace ipsa::arch

@@ -7,10 +7,12 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "util/status.h"
@@ -19,18 +21,21 @@ namespace ipsa::mem {
 
 enum class BlockKind { kSram, kTcam };
 
-// An arbitrary-width bit string stored LSB-first in bytes. Used for table
-// keys, masks, and entry payloads throughout the memory subsystem.
+// An arbitrary-width bit string stored LSB-first in 64-bit words. Used for
+// table keys, masks, and entry payloads throughout the memory subsystem.
 //
 // Widths up to kInlineBits (128 — every key and action-data width in the
-// example designs) live in an inline buffer; wider strings spill to a heap
-// buffer whose capacity is kept across Resize/assignment, so a reused
-// BitString never allocates in steady state. This is what makes the
-// per-packet lookup path allocation-free.
+// example designs) live in an inline two-word buffer; wider strings spill to
+// a heap buffer whose capacity, in whole words, is kept across
+// Resize/assignment, so a reused BitString never allocates in steady state.
+// This is what makes the per-packet lookup path allocation-free.
+//
+// Invariant: every stored bit at or above bit_width() is zero. Every
+// mutator keeps it, so equality, hashing and word reads never mask.
 class BitString {
  public:
-  static constexpr size_t kInlineBytes = 16;
-  static constexpr size_t kInlineBits = kInlineBytes * 8;
+  static constexpr size_t kInlineWords = 2;
+  static constexpr size_t kInlineBits = kInlineWords * 64;
 
   BitString() = default;
   explicit BitString(size_t bit_width) { Resize(bit_width); }
@@ -38,42 +43,72 @@ class BitString {
   static BitString FromBytes(std::span<const uint8_t> bytes, size_t bit_width);
 
   BitString(const BitString& other) { *this = other; }
-  BitString& operator=(const BitString& other);
+  // Inline for inline widths (two word stores: the per-packet action-data
+  // copy); wider strings copy out of line, reusing capacity.
+  BitString& operator=(const BitString& other) {
+    if (!other.OnHeap()) {
+      bits_ = other.bits_;
+      inline_[0] = other.inline_[0];
+      inline_[1] = other.inline_[1];
+      return *this;
+    }
+    return CopyWide(other);
+  }
   BitString(BitString&& other) noexcept;
   BitString& operator=(BitString&& other) noexcept;
   ~BitString() = default;
 
   size_t bit_width() const { return bits_; }
   size_t byte_size() const { return (bits_ + 7) / 8; }
-  std::span<const uint8_t> bytes() const { return {data(), byte_size()}; }
-  std::span<uint8_t> bytes() { return {data(), byte_size()}; }
+  // The LSB-first byte view of the words (the byte order the wire codec
+  // and the selector hash consume).
+  std::span<const uint8_t> bytes() const {
+    return {reinterpret_cast<const uint8_t*>(words()), byte_size()};
+  }
 
   // Sets the width and zeroes every bit. Capacity is never released;
   // allocates only when growing past both the inline buffer and any heap
   // buffer acquired earlier.
   void Resize(size_t bit_width);
 
-  bool GetBit(size_t i) const { return (data()[i / 8] >> (i % 8)) & 1; }
+  bool GetBit(size_t i) const { return (words()[i / 64] >> (i % 64)) & 1; }
+  // Bits at or beyond bit_width() are ignored.
   void SetBit(size_t i, bool v) {
-    uint8_t mask = static_cast<uint8_t>(1u << (i % 8));
+    if (i >= bits_) return;
+    const uint64_t mask = uint64_t{1} << (i % 64);
     if (v) {
-      data()[i / 8] |= mask;
+      words()[i / 64] |= mask;
     } else {
-      data()[i / 8] &= static_cast<uint8_t>(~mask);
+      words()[i / 64] &= ~mask;
     }
   }
 
-  // Reads/writes up to 64 bits at [offset, offset+width).
-  uint64_t GetBits(size_t offset, size_t width) const;
+  // Reads up to 64 bits at [offset, offset+width): one word load, or two
+  // when the range straddles a word boundary. Bits beyond bit_width() read
+  // as zero.
+  uint64_t GetBits(size_t offset, size_t width) const {
+    if (width == 0 || offset >= bits_) return 0;
+    const uint64_t* w = words();
+    const size_t i = offset / 64;
+    const size_t shift = offset % 64;
+    uint64_t v = w[i] >> shift;
+    if (shift != 0 && shift + width > 64 && i + 1 < WordCount()) {
+      v |= w[i + 1] << (64 - shift);
+    }
+    return width >= 64 ? v : v & ((uint64_t{1} << width) - 1);
+  }
+  // Writes up to 64 bits at [offset, offset+width); bits beyond
+  // bit_width() are dropped.
   void SetBits(size_t offset, size_t width, uint64_t value);
 
-  // 64-bit word `i` of the LSB-first byte stream; bits beyond bit_width()
-  // read as zero. Lets table indexes compare keys word-wise.
-  uint64_t Word(size_t i) const;
-  size_t WordCount() const { return (byte_size() + 7) / 8; }
+  // 64-bit word `i`; words beyond the width read as zero. Lets table
+  // indexes hash and compare keys word-wise.
+  uint64_t Word(size_t i) const { return i < WordCount() ? words()[i] : 0; }
+  size_t WordCount() const { return (bits_ + 63) / 64; }
+  const uint64_t* words() const { return OnHeap() ? heap_.get() : inline_; }
 
   // Low 64 bits as an integer (convenience for narrow values).
-  uint64_t ToUint64() const { return GetBits(0, bits_ < 64 ? bits_ : 64); }
+  uint64_t ToUint64() const { return Word(0); }
 
   // Returns a slice [offset, offset+width) as a new BitString.
   BitString Slice(size_t offset, size_t width) const;
@@ -97,39 +132,58 @@ class BitString {
   }
 
   // Sets the width to `bit_width` and the bits to the LSB-first words
-  // `words[0 .. WordCount())`, whose bits at or beyond `bit_width` must be
-  // zero. The one-copy store behind word-wise key building; allocates only
-  // when growing, like Resize.
-  void AssignWords(size_t bit_width, const uint64_t* words);
+  // `words[0 .. WordCount())`; bits at or beyond `bit_width` are dropped.
+  // The one-copy store behind word-wise key building (inline for inline
+  // widths); allocates only when growing, like Resize.
+  void AssignWords(size_t bit_width, const uint64_t* words) {
+    if (bit_width > kInlineBits) {
+      AssignWideWords(bit_width, words);
+      return;
+    }
+    bits_ = bit_width;
+    for (size_t i = 0; i < WordCount(); ++i) inline_[i] = words[i];
+    MaskTail();
+  }
 
   // Zeroes every bit, keeping the width. No reallocation.
   void Zero();
   // In-place equivalent of `*this = FromBytes(src.bytes(), bit_width())`:
-  // copies src's bytes truncated/zero-extended to this width, no realloc.
+  // copies src's bits truncated/zero-extended to this width, no realloc.
   void Assign(const BitString& src);
 
-  // True if (this & mask) == (other & mask) over the common width.
+  // True if (this & mask) == (other & mask) over the common byte width.
   bool MatchesUnderMask(const BitString& other, const BitString& mask) const;
 
   bool operator==(const BitString& other) const {
     return bits_ == other.bits_ &&
-           std::memcmp(data(), other.data(), byte_size()) == 0;
+           std::memcmp(words(), other.words(), WordCount() * 8) == 0;
   }
 
   std::string ToHex() const;
 
  private:
-  uint8_t* data() {
-    return byte_size() <= kInlineBytes ? inline_ : heap_.get();
-  }
-  const uint8_t* data() const {
-    return byte_size() <= kInlineBytes ? inline_ : heap_.get();
+  // The byte view above reads the words in memory order.
+  static_assert(std::endian::native == std::endian::little,
+                "BitString's byte view assumes a little-endian host");
+
+  bool OnHeap() const { return bits_ > kInlineBits; }
+  BitString& CopyWide(const BitString& other);
+  void AssignWideWords(size_t bit_width, const uint64_t* words);
+  uint64_t* words() { return OnHeap() ? heap_.get() : inline_; }
+  // Sets the width, growing the heap buffer if needed; the words' contents
+  // are unspecified afterwards.
+  void SetWidth(size_t bit_width);
+  // Clears the bits of the last word at or above bit_width().
+  void MaskTail() {
+    if (bits_ % 64 != 0) {
+      words()[bits_ / 64] &= (uint64_t{1} << (bits_ % 64)) - 1;
+    }
   }
 
   size_t bits_ = 0;
-  size_t heap_capacity_ = 0;  // bytes usable in heap_ (0 = none allocated)
-  uint8_t inline_[kInlineBytes] = {};
-  std::unique_ptr<uint8_t[]> heap_;
+  size_t heap_words_ = 0;  // words usable in heap_ (0 = none allocated)
+  uint64_t inline_[kInlineWords] = {};
+  std::unique_ptr<uint64_t[]> heap_;
 };
 
 // One physical block.

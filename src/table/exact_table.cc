@@ -40,9 +40,9 @@ ExactTable::~ExactTable() {
 }
 
 ExactTable::Node* ExactTable::Find(const std::atomic<Node*>& bucket,
-                                   std::string_view key) {
+                                   const mem::BitString& key) {
   Node* n = bucket.load(std::memory_order_relaxed);
-  while (n != nullptr && n->key != key) {
+  while (n != nullptr && !SameKey(n->key, key)) {
     n = n->next.load(std::memory_order_relaxed);
   }
   return n;
@@ -92,9 +92,8 @@ void ExactTable::RepublishBucket(std::atomic<Node*>& bucket,
 }
 
 Status ExactTable::InsertOp(const Entry& entry, bool upsert) {
-  std::string_view k = KeyOf(entry.key);
-  std::atomic<Node*>& bucket = BucketOf(k);
-  if (Node* existing = Find(bucket, k); existing != nullptr) {
+  std::atomic<Node*>& bucket = BucketOf(entry.key);
+  if (Node* existing = Find(bucket, entry.key); existing != nullptr) {
     if (!upsert) {
       return AlreadyExists(Describe() + ": duplicate key");
     }
@@ -115,7 +114,7 @@ Status ExactTable::InsertOp(const Entry& entry, bool upsert) {
   // grace period either.
   Node* node = new Node;
   node->row = row;
-  node->key.assign(k.data(), k.size());
+  node->key = entry.key;
   node->action = DecodeRow(row);
   node->next.store(bucket.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
@@ -124,9 +123,8 @@ Status ExactTable::InsertOp(const Entry& entry, bool upsert) {
 }
 
 Status ExactTable::EraseOp(const Entry& entry) {
-  std::string_view k = KeyOf(entry.key);
-  std::atomic<Node*>& bucket = BucketOf(k);
-  Node* existing = Find(bucket, k);
+  std::atomic<Node*>& bucket = BucketOf(entry.key);
+  Node* existing = Find(bucket, entry.key);
   if (existing == nullptr) {
     return NotFound(Describe() + ": key not present");
   }
@@ -139,10 +137,9 @@ Status ExactTable::EraseOp(const Entry& entry) {
 void ExactTable::LookupInto(const mem::BitString& key,
                             LookupResult& out) const {
   rcu::Domain::ReadGuard guard(rcu::Domain::Global());
-  std::string_view k = KeyOf(key);
-  const Node* n = buckets_[util::StringHash{}(k) & bucket_mask_].load(
-      std::memory_order_acquire);
-  while (n != nullptr && n->key != k) {
+  const Node* n =
+      buckets_[HashKey(key) & bucket_mask_].load(std::memory_order_acquire);
+  while (n != nullptr && !SameKey(n->key, key)) {
     n = n->next.load(std::memory_order_acquire);
   }
   if (n == nullptr) {

@@ -1,5 +1,8 @@
 // Exact-match table: an RCU-published chained hash index over pool rows.
 //
+// Keys are hashed and compared as 64-bit words (util::Mix64 over the
+// key's words), so a lookup reads the key in place: no copy, no byte loop.
+//
 // The software index is one chained hash table (hardware would use
 // cuckoo/d-left hashing over the identical SRAM rows). The bucket array is
 // pre-sized from the table spec and never resizes, so an insert is
@@ -15,8 +18,6 @@
 #pragma once
 
 #include <atomic>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "table/table.h"
@@ -37,11 +38,23 @@ class ExactTable : public MatchTable {
   Status EraseOp(const Entry& entry) override;
 
  private:
-  // View over the key bytes; the index is probed transparently so the
-  // per-packet Lookup never materialises a std::string.
-  static std::string_view KeyOf(const mem::BitString& key) {
-    return std::string_view(reinterpret_cast<const char*>(key.bytes().data()),
-                            key.byte_size());
+  // Keys compare by byte width and words: the bits above bit_width() are
+  // zero, so equal byte widths and equal words mean equal key bytes.
+  static bool SameKey(const mem::BitString& a, const mem::BitString& b) {
+    if (a.byte_size() != b.byte_size()) return false;
+    const uint64_t* wa = a.words();
+    const uint64_t* wb = b.words();
+    for (size_t i = 0; i < a.WordCount(); ++i) {
+      if (wa[i] != wb[i]) return false;
+    }
+    return true;
+  }
+  // Folds the key's words through util::Mix64, seeded with its byte width.
+  static uint64_t HashKey(const mem::BitString& key) {
+    uint64_t h = key.byte_size();
+    const uint64_t* w = key.words();
+    for (size_t i = 0; i < key.WordCount(); ++i) h = util::Mix64(h ^ w[i]);
+    return h;
   }
 
   // One published chain node. Immutable after its bucket head (or a
@@ -52,14 +65,15 @@ class ExactTable : public MatchTable {
     std::atomic<Node*> next{nullptr};
     uint32_t row = 0;
     CachedAction action;
-    std::string key;
+    mem::BitString key;
   };
 
-  std::atomic<Node*>& BucketOf(std::string_view key) {
-    return buckets_[util::StringHash{}(key) & bucket_mask_];
+  std::atomic<Node*>& BucketOf(const mem::BitString& key) {
+    return buckets_[HashKey(key) & bucket_mask_];
   }
   // The chain node holding `key` in `bucket`, or null.
-  static Node* Find(const std::atomic<Node*>& bucket, std::string_view key);
+  static Node* Find(const std::atomic<Node*>& bucket,
+                    const mem::BitString& key);
 
   // Republishes `bucket` with `remove` unlinked and (optionally) `add` at
   // the head: copies the chain prefix up to `remove` (the whole chain when

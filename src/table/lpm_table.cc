@@ -53,13 +53,16 @@ void LpmTable::MarkDirty(const Entry& entry) {
 }
 
 Status LpmTable::InsertOp(const Entry& entry, bool upsert) {
+  // Walk the existing path read-only: an insert the table refuses must
+  // leave no nodes behind for later publishes to expand.
   Node* node = root_.get();
-  for (uint32_t i = 0; i < entry.prefix_len; ++i) {
-    int b = KeyBitMsb(entry.key, i) ? 1 : 0;
-    if (!node->child[b]) node->child[b] = std::make_unique<Node>();
-    node = node->child[b].get();
+  uint32_t depth = 0;
+  for (; depth < entry.prefix_len; ++depth) {
+    Node* next = node->child[KeyBitMsb(entry.key, depth) ? 1 : 0].get();
+    if (next == nullptr) break;
+    node = next;
   }
-  if (node->row >= 0) {
+  if (depth == entry.prefix_len && node->row >= 0) {
     if (!upsert) {
       return AlreadyExists(Describe() + ": duplicate prefix");
     }
@@ -67,6 +70,11 @@ Status LpmTable::InsertOp(const Entry& entry, bool upsert) {
         *pool_, static_cast<uint32_t>(node->row), PackRow(entry)));
   } else {
     IPSA_ASSIGN_OR_RETURN(uint32_t row, AddRow(entry));
+    for (; depth < entry.prefix_len; ++depth) {
+      auto& child = node->child[KeyBitMsb(entry.key, depth) ? 1 : 0];
+      child = std::make_unique<Node>();
+      node = child.get();
+    }
     node->row = static_cast<int32_t>(row);
   }
   MarkDirty(entry);
@@ -96,9 +104,9 @@ void LpmTable::Publish() {
   size_t slot_count = size_t{1} << root_bits_;
   next->slots.resize(slot_count);
   if (!short_dirty_) next->short_leaves = old->short_leaves;
-  // Scratch row -> leaf-index map, reset per shard by walking its leaves so
-  // one allocation serves every dirty shard in this publish.
-  std::vector<int32_t> row_leaf(spec_.size, -1);
+  // Sized on the first publish, then reset per shard by walking its leaves,
+  // so a publish does no O(size) work beyond the slot copy.
+  if (row_leaf_.empty()) row_leaf_.assign(spec_.size, -1);
   for (size_t v = 0; v < slot_count; ++v) {
     SlotRef& slot = next->slots[v];
     if (!short_dirty_ && !dirty_slots_[v]) {
@@ -123,7 +131,7 @@ void LpmTable::Publish() {
       slot.short_leaf = old->slots[v].short_leaf;
     }
     slot.shard =
-        dirty_slots_[v] ? BuildShard(walk, row_leaf) : old->slots[v].shard;
+        dirty_slots_[v] ? BuildShard(walk, row_leaf_) : old->slots[v].shard;
   }
   view_.Store(std::move(next));
   std::fill(dirty_slots_.begin(), dirty_slots_.end(), false);
@@ -150,10 +158,6 @@ int32_t LpmTable::BuildStrideNode(const Node* n, uint32_t depth,
   uint32_t s = std::min(kStrideBits, spec_.key_width_bits - depth);
   int32_t self = static_cast<int32_t>(view.nodes.size());
   view.nodes.emplace_back();
-  std::fill(std::begin(view.nodes[self].best),
-            std::end(view.nodes[self].best), -1);
-  std::fill(std::begin(view.nodes[self].child),
-            std::end(view.nodes[self].child), -1);
   for (uint32_t v = 0; v < (1u << s); ++v) {
     const Node* walk = n;
     int32_t best = -1;
@@ -169,13 +173,13 @@ int32_t LpmTable::BuildStrideNode(const Node* n, uint32_t depth,
         best = leaf;
       }
     }
-    view.nodes[self].best[v] = best;
+    view.nodes[self].e[v].best = best;
     if (walk != nullptr && depth + s < spec_.key_width_bits &&
         (walk->child[0] || walk->child[1])) {
       int32_t child = BuildStrideNode(walk, depth + s, view, row_leaf);
       // Recursion may grow view.nodes; re-index instead of holding a
       // reference across the call.
-      view.nodes[self].child[v] = child;
+      view.nodes[self].e[v].child = child;
     }
   }
   return self;
@@ -184,9 +188,11 @@ int32_t LpmTable::BuildStrideNode(const Node* n, uint32_t depth,
 void LpmTable::LookupInto(const mem::BitString& key, LookupResult& out) const {
   rcu::Domain::ReadGuard guard(rcu::Domain::Global());
   const Root* root = view_.Load();
-  uint32_t width = spec_.key_width_bits;
-  uint32_t rb = root->root_bits;
-  uint32_t top =
+  // The slot index and every stride nibble are inline word reads of the
+  // key (BitString::GetBits: one load, two across a word boundary).
+  const uint32_t width = spec_.key_width_bits;
+  const uint32_t rb = root->root_bits;
+  const uint32_t top =
       rb != 0 ? static_cast<uint32_t>(key.GetBits(width - rb, rb)) : 0;
   const SlotRef& slot = root->slots[top];
   const Leaf* best = slot.short_leaf >= 0
@@ -196,16 +202,17 @@ void LpmTable::LookupInto(const mem::BitString& key, LookupResult& out) const {
   // immutable and epoch-protected, and it holds the shard alive.
   const SlotTrie* shard = slot.shard.get();
   if (shard != nullptr && !shard->nodes.empty()) {
-    uint32_t consumed = rb;
+    // Key bits [0, below) are still unconsumed; each level takes the top
+    // (up to) kStrideBits of them.
+    uint32_t below = width - rb;
     int32_t node = 0;
-    while (node >= 0 && consumed < width) {
-      uint32_t s = std::min(kStrideBits, width - consumed);
-      uint32_t v =
-          static_cast<uint32_t>(key.GetBits(width - consumed - s, s));
-      const StrideNode& sn = shard->nodes[static_cast<size_t>(node)];
-      if (sn.best[v] >= 0) best = &shard->leaves[sn.best[v]];
-      node = sn.child[v];
-      consumed += s;
+    while (node >= 0 && below > 0) {
+      const uint32_t s = std::min(kStrideBits, below);
+      below -= s;
+      const uint32_t v = static_cast<uint32_t>(key.GetBits(below, s));
+      const StrideEntry& se = shard->nodes[static_cast<size_t>(node)].e[v];
+      if (se.best >= 0) best = &shard->leaves[se.best];
+      node = se.child;
     }
   }
   if (best == nullptr) {

@@ -59,12 +59,16 @@ class LpmTable : public MatchTable {
     CachedAction action;
   };
 
-  // One stride level of a shard: for nibble value v, best[v] indexes the
+  // One stride level of a shard: for nibble value v, e[v].best indexes the
   // leaf of the longest prefix ending strictly inside this stride along v's
-  // bit path, child[v] the next stride node (-1 = path dies here).
-  struct StrideNode {
-    int32_t best[kFanout];
-    int32_t child[kFanout];
+  // bit path, e[v].child the next stride node (-1 = path dies here). The
+  // pair sits together, so a level costs one cache line.
+  struct StrideEntry {
+    int32_t best = -1;
+    int32_t child = -1;
+  };
+  struct alignas(64) StrideNode {
+    StrideEntry e[kFanout];
   };
 
   // Immutable stride trie over the key bits below the root partition, for
@@ -107,6 +111,9 @@ class LpmTable : public MatchTable {
   const uint32_t root_bits_;
   Published<Root> view_;
   std::vector<bool> dirty_slots_;  // writer-side, slot index = top R bits
+  // Writer-side row -> leaf-index scratch for BuildShard; every entry is
+  // -1 between shard builds.
+  std::vector<int32_t> row_leaf_;
   bool short_dirty_ = false;       // a prefix of length <= R changed
 };
 

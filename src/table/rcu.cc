@@ -7,13 +7,12 @@ namespace ipsa::table::rcu {
 // be befriended by Domain for access to the private Slot type.
 struct SlotLease {
   Domain::Slot* slot = nullptr;
-  Domain* domain = nullptr;
 
   ~SlotLease() {
     if (slot != nullptr) {
-      slot->depth = 0;
       slot->epoch.store(Domain::kIdle, std::memory_order_release);
       slot->claimed.store(false, std::memory_order_release);
+      Domain::reader_ = Domain::Reader{};
     }
   }
 };
@@ -22,34 +21,31 @@ namespace {
 thread_local SlotLease t_lease;
 }  // namespace
 
-Domain& Domain::Global() {
-  static Domain domain;
-  return domain;
-}
+// Constant-initialized: no construction-order hazard, and Global() is a
+// plain address.
+constinit Domain Domain::global_;
 
 Domain::Slot* Domain::ClaimSlot() {
-  if (t_lease.domain == this && t_lease.slot != nullptr) return t_lease.slot;
+  if (reader_.domain == this && reader_.slot != nullptr) return reader_.slot;
   for (Slot& s : slots_) {
     bool expected = false;
     if (s.claimed.compare_exchange_strong(expected, true,
                                           std::memory_order_acq_rel)) {
       t_lease.slot = &s;
-      t_lease.domain = this;
+      reader_ = Reader{this, &s, 0};
       return &s;
     }
   }
   return nullptr;  // capacity exhausted: caller falls back to overflow_pins_
 }
 
-void Domain::Pin() {
+void Domain::PinOutermost() {
   Slot* slot = ClaimSlot();
   if (slot == nullptr) {
     overflow_pins_.fetch_add(1, std::memory_order_seq_cst);
     return;
   }
-  // A nested pin: the outer one already holds the slot at an epoch no newer
-  // than now, which protects everything this one would.
-  if (slot->depth++ > 0) return;
+  reader_.depth = 1;
   // Publish the pinned epoch, then re-check it: the seq_cst store/load pair
   // guarantees that if a concurrent Synchronize() missed this slot when
   // scanning, this thread sees the bumped epoch and retries — so a reader
@@ -61,10 +57,10 @@ void Domain::Pin() {
   }
 }
 
-void Domain::Unpin() {
-  if (t_lease.domain == this && t_lease.slot != nullptr) {
-    if (--t_lease.slot->depth > 0) return;  // an outer pin is still held
-    t_lease.slot->epoch.store(kIdle, std::memory_order_release);
+void Domain::UnpinOutermost() {
+  if (reader_.domain == this && reader_.slot != nullptr) {
+    reader_.depth = 0;
+    reader_.slot->epoch.store(kIdle, std::memory_order_release);
     return;
   }
   overflow_pins_.fetch_sub(1, std::memory_order_seq_cst);

@@ -23,8 +23,11 @@
 // shards (and is TSan-hostile); std::atomic<shared_ptr> takes a spinlock in
 // libstdc++ and adds per-lookup reference-count traffic to the hot path.
 // Epochs cost two uncontended atomic stores per outermost pin and nothing
-// else; a device pins once per batch, so each lookup's own guard is only a
-// thread-local depth increment.
+// else. A device pins once per batch, so each lookup's own guard is nested:
+// Pin()/Unpin() are inline and a nested pair only moves the calling
+// thread's thread-local depth — no slot claim, no atomic, no call. Global()
+// is an inline reference to a constant-initialized domain, so naming it
+// costs no call either.
 #pragma once
 
 #include <atomic>
@@ -43,7 +46,7 @@ class Domain {
   static constexpr uint64_t kIdle = 0;
 
   // The process-global domain every table shares.
-  static Domain& Global();
+  static Domain& Global() { return global_; }
 
   // --- reader side -----------------------------------------------------------
 
@@ -51,10 +54,22 @@ class Domain {
   // Unpin(), no view retired at or after this moment is freed. Pins nest:
   // only the outermost Pin publishes the epoch (two atomic stores plus an
   // epoch re-check) and only the outermost Unpin releases the slot; inner
-  // pairs just move a per-thread depth counter. No allocation after the
-  // thread's first call.
-  void Pin();
-  void Unpin();
+  // pairs just move the thread's depth counter, inline. No allocation after
+  // the thread's first call.
+  void Pin() {
+    if (reader_.depth > 0 && reader_.domain == this) {
+      ++reader_.depth;
+      return;
+    }
+    PinOutermost();
+  }
+  void Unpin() {
+    if (reader_.depth > 1 && reader_.domain == this) {
+      --reader_.depth;
+      return;
+    }
+    UnpinOutermost();
+  }
 
   // RAII pin: one lookup, or a whole batch of packets around many lookups.
   class ReadGuard {
@@ -91,10 +106,20 @@ class Domain {
   struct alignas(64) Slot {
     std::atomic<uint64_t> epoch{kIdle};
     std::atomic<bool> claimed{false};
-    // Nesting depth of the owning thread's pins; only that thread reads or
-    // writes it, so it needs no atomicity.
-    uint32_t depth = 0;
   };
+
+  // The calling thread's reader state: the slot it leases in `domain` and
+  // the nesting depth of its pins there (0 = not pinned). Only the owning
+  // thread touches it, so it needs no atomicity. Value-initialized (all
+  // zero) for every new thread.
+  struct Reader {
+    Domain* domain;
+    Slot* slot;
+    uint32_t depth;
+  };
+  static inline constinit thread_local Reader reader_{};
+
+  static Domain global_;
 
   struct Retired {
     void* ptr;
@@ -102,6 +127,10 @@ class Domain {
     uint64_t epoch;  // value of epoch_ when retired
   };
 
+  // The out-of-line halves of Pin/Unpin: claim the slot and publish or
+  // release the epoch.
+  void PinOutermost();
+  void UnpinOutermost();
   Slot* ClaimSlot();
   friend struct SlotLease;
 

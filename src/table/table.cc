@@ -150,6 +150,7 @@ void LookupTally::Flush() {
 
 CachedAction MatchTable::DecodeRow(uint32_t row) const {
   CachedAction a;
+  a.block_row = storage_.BlockRowOf(row);
   auto bits = storage_.PeekRow(*pool_, row);
   if (!bits.ok()) return a;
   a.action_id =

@@ -52,14 +52,17 @@ struct LookupResult {
   uint32_t action_id = 0;
   mem::BitString action_data;
   uint32_t access_cycles = 0;  // charged pool/bus cycles for this lookup
-  uint32_t row = 0;            // pool row of a hit (read accounting)
+  uint32_t row = 0;            // pool row of a hit
+  uint32_t block_row = 0;      // its grid row of blocks (read accounting)
 };
 
 // Decoded action bits cached beside a software-index row, so hits are served
 // without re-reading and re-unpacking the pool row per packet. Refreshed on
-// every row write; the pool row stays the ground truth.
+// every row write; the pool row stays the ground truth. `block_row` is the
+// row's grid row of blocks, which a hit charges its reads to.
 struct CachedAction {
   uint32_t action_id = 0;
+  uint32_t block_row = 0;
   mem::BitString action_data;
 };
 
@@ -160,7 +163,7 @@ class MatchTable {
     LookupResult out;
     LookupInto(key, out);
     if (out.hit) {
-      AddCounts(storage_.BlockRowOf(out.row), 1, 0);
+      AddCounts(out.block_row, 1, 0);
     } else {
       AddCounts(0, 0, 1);
     }
@@ -225,6 +228,7 @@ class MatchTable {
   // counts), as if the row had been fetched.
   void HitInto(uint32_t row, const CachedAction& a, LookupResult& r) const {
     r.row = row;
+    r.block_row = a.block_row;
     r.hit = true;
     r.action_id = a.action_id;
     r.action_data = a.action_data;  // capacity-reusing copy
@@ -295,7 +299,7 @@ class Published {
 
 inline void LookupTally::Count(const MatchTable& table,
                                const LookupResult& r) {
-  const uint32_t block_row = r.hit ? table.storage().BlockRowOf(r.row) : 0;
+  const uint32_t block_row = r.hit ? r.block_row : 0;
   for (Cell& c : cells_) {
     if (c.table == &table && c.block_row == block_row) {
       ++(r.hit ? c.hits : c.misses);

@@ -49,11 +49,4 @@ uint32_t Crc32(std::span<const uint8_t> data, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 }  // namespace ipsa::util

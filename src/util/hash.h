@@ -1,6 +1,6 @@
 // Deterministic hash functions used by hash/selector tables (ECMP member
-// selection) and exact-match tables. Seeded variants let a table pick an
-// independent hash family member.
+// selection), exact-match tables and string-keyed maps. Seeded variants let
+// a table pick an independent hash family member.
 #pragma once
 
 #include <cstddef>
@@ -10,7 +10,7 @@
 
 namespace ipsa::util {
 
-// FNV-1a, 64-bit. Stable across platforms; used for exact-match bucketing.
+// FNV-1a, 64-bit. Stable across platforms; hashes string keys.
 uint64_t Fnv1a64(std::span<const uint8_t> data, uint64_t seed = 0);
 uint64_t Fnv1a64(std::string_view s, uint64_t seed = 0);
 
@@ -18,8 +18,14 @@ uint64_t Fnv1a64(std::string_view s, uint64_t seed = 0);
 // switch ASICs is CRC-based, so the selector tables use this.
 uint32_t Crc32(std::span<const uint8_t> data, uint32_t seed = 0);
 
-// A 64->64 bit finalizer (splitmix64) for integer key mixing.
-uint64_t Mix64(uint64_t x);
+// A 64->64 bit finalizer (splitmix64) for integer key mixing. Inline: the
+// exact-match tables hash every lookup key's words with it.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
 
 // Transparent (heterogeneous) string hasher for unordered containers keyed
 // by std::string: lets hot paths probe with a string_view and never

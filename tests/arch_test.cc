@@ -2,6 +2,7 @@
 
 #include "arch/actions.h"
 #include "arch/catalog.h"
+#include "arch/compiled_stage.h"
 #include "arch/context.h"
 #include "arch/design.h"
 #include "arch/expr.h"
@@ -686,6 +687,322 @@ TEST(SerdeTest, DesignConfigRoundTripThroughJsonText) {
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->ToJson().Dump(2), text);
   EXPECT_EQ(back->TotalConfigWords(), design.TotalConfigWords());
+}
+
+// --- flat expression programs vs the interpreter ----------------------------------
+//
+// The compiled stage evaluates every narrow expression as a flat post-order
+// program; RunStage walks the Expr tree by name. Each case runs one
+// single-stage program both ways from identical packets, metadata and
+// registers, and requires identical statuses, values, packets and cycles.
+
+class FlatProgramTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kWidths[] = {1, 8, 16, 63, 64};
+
+  FlatProgramTest() : pool_(mem::PoolConfig{}), catalog_(pool_) {
+    for (uint32_t w : kWidths) {
+      EXPECT_TRUE(meta_.Declare(Meta("a", w), w).ok());
+      EXPECT_TRUE(meta_.Declare(Meta("b", w), w).ok());
+    }
+    EXPECT_TRUE(meta_.Declare("out", 64).ok());
+    EXPECT_TRUE(meta_.Declare("sel", 8).ok());
+    // One exact entry on meta.sel == 0 binds tag 1 and action data that
+    // each case's parameter reads.
+    table::TableSpec spec;
+    spec.name = "args";
+    spec.match_kind = table::MatchKind::kExact;
+    spec.key_width_bits = 8;
+    spec.action_data_width_bits = 64;
+    spec.size = 4;
+    EXPECT_TRUE(
+        catalog_.CreateTable(spec, TableBinding{{FieldRef::Meta("sel")}}).ok());
+    ActionDef noop;
+    noop.name = "noop";
+    EXPECT_TRUE(actions_.Add(noop).ok());
+  }
+
+  static std::string Meta(const char* base, uint32_t w) {
+    return base + std::to_string(w);
+  }
+  static uint64_t MaskOf(uint32_t w) {
+    return w >= 64 ? ~uint64_t{0} : (uint64_t{1} << w) - 1;
+  }
+  // 0, 1, the maximum and its neighbours, and shift counts at and beyond
+  // the width, each masked to `w`.
+  static std::vector<uint64_t> EdgeValues(uint32_t w) {
+    std::vector<uint64_t> out;
+    for (uint64_t v : {uint64_t{0}, uint64_t{1}, MaskOf(w), MaskOf(w) - 1,
+                       MaskOf(w) >> 1, (MaskOf(w) >> 1) + 1, uint64_t{w},
+                       uint64_t{64}, uint64_t{65}}) {
+      v &= MaskOf(w);
+      if (std::find(out.begin(), out.end(), v) == out.end()) out.push_back(v);
+    }
+    return out;
+  }
+
+  // Binds table entry (sel == 0) to `data` and tag 1 to a fresh action
+  // with parameter `p` (`p_width` bits) running `body`.
+  StageProgram ActionStage(std::vector<ActionOp> body, uint32_t p_width,
+                           uint64_t data) {
+    ActionDef def;
+    def.name = "act" + std::to_string(next_action_++);
+    def.params = {{"p", p_width}};
+    def.body = std::move(body);
+    EXPECT_TRUE(actions_.Add(def).ok());
+    table::Entry entry;
+    entry.key = mem::BitString(8, 0);
+    entry.action_id = 1;
+    entry.action_data = mem::BitString(64, data);
+    EXPECT_TRUE((*catalog_.Get("args"))->Insert(entry).ok());
+    StageProgram stage;
+    stage.name = "s";
+    stage.parse_set = {"ethernet", "ipv4"};
+    stage.matcher.push_back(MatchRule{nullptr, "args"});
+    stage.executor[1] = def.name;
+    return stage;
+  }
+
+  StageProgram GuardStage(ExprPtr guard) {
+    StageProgram stage;
+    stage.name = "g";
+    stage.parse_set = {"ethernet", "ipv4"};
+    stage.matcher.push_back(MatchRule{std::move(guard), "args"});
+    stage.executor[1] = "noop";
+    return stage;
+  }
+
+  struct Outcome {
+    std::string status;
+    bool applied = false;
+    uint64_t out = 0;
+    uint32_t egress = 0;
+    std::vector<uint8_t> bytes;
+    std::vector<uint64_t> regs;
+    uint64_t cycles = 0;
+    bool operator==(const Outcome&) const = default;
+  };
+
+  // Runs `stage` on a fresh packet, metadata and register file, through
+  // the compiled stage or the interpreter.
+  Outcome Run(const StageProgram& stage, bool compiled, bool with_regs) {
+    net::Packet packet = V4Packet();
+    PacketContext ctx(packet, registry_, meta_);
+    RegisterFile regs;
+    EXPECT_TRUE(regs.Create("r", 4).ok());
+    EXPECT_TRUE(regs.Write("r", 1, 77).ok());
+    RegisterFile* rf = with_regs ? &regs : nullptr;
+    Result<StageRunStats> stats = InternalError("not run");
+    if (compiled) {
+      auto cs = CompileStage(stage, catalog_, actions_, registry_, meta_);
+      EXPECT_TRUE(cs.ok()) << cs.status().ToString();
+      if (cs.ok()) stats = RunCompiledStage(*cs, ctx, rf, true, false);
+    } else {
+      stats = RunStage(stage, ctx, catalog_, actions_, rf, true);
+    }
+    Outcome o;
+    o.status = stats.ok() ? "OK" : stats.status().ToString();
+    o.applied = stats.ok() && stats->table_applied;
+    o.out = ctx.metadata().ReadUint("out");
+    o.egress = ctx.egress_spec();
+    o.bytes.assign(packet.bytes().begin(), packet.bytes().end());
+    for (size_t i = 0; i < 4; ++i) o.regs.push_back(*regs.Read("r", i));
+    o.cycles = ctx.cycles();
+    return o;
+  }
+
+  // Runs both ways; returns the interpreter's outcome after checking that
+  // the compiled stage's is identical.
+  Outcome ExpectSame(const StageProgram& stage, const std::string& what,
+                     bool with_regs = true) {
+    Outcome want = Run(stage, false, with_regs);
+    Outcome got = Run(stage, true, with_regs);
+    EXPECT_EQ(got.status, want.status) << what;
+    EXPECT_EQ(got.out, want.out) << what;
+    EXPECT_TRUE(got == want) << what;
+    return want;
+  }
+
+  void SetInput(const char* base, uint32_t w, uint64_t v) {
+    ASSERT_TRUE(meta_.WriteUint(Meta(base, w), v).ok());
+  }
+
+  mem::Pool pool_;
+  TableCatalog catalog_;
+  ActionStore actions_;
+  HeaderRegistry registry_ = HeaderRegistry::StandardL2L3();
+  Metadata meta_ = Metadata::Standard();
+  int next_action_ = 0;
+};
+
+TEST_F(FlatProgramTest, EveryOperatorAtEveryWidthMatchesInterpreter) {
+  const Expr::Op kBinaryOps[] = {
+      Expr::Op::kEq,     Expr::Op::kNe,          Expr::Op::kLt,
+      Expr::Op::kLe,     Expr::Op::kGt,          Expr::Op::kGe,
+      Expr::Op::kAnd,    Expr::Op::kOr,          Expr::Op::kAdd,
+      Expr::Op::kSub,    Expr::Op::kMul,         Expr::Op::kBitAnd,
+      Expr::Op::kBitOr,  Expr::Op::kBitXor,      Expr::Op::kShl,
+      Expr::Op::kShr,    Expr::Op::kSatAdd,      Expr::Op::kFxpQuantize,
+      Expr::Op::kFxpDequantize};
+  for (uint32_t w : kWidths) {
+    const std::vector<uint64_t> edges = EdgeValues(w);
+    for (uint64_t a : edges) {
+      SetInput("a", w, a);
+      for (Expr::Op op : {Expr::Op::kNot, Expr::Op::kBitNot}) {
+        ExpectSame(ActionStage({ActionOp::Assign(
+                                   FieldRef::Meta("out"),
+                                   Expr::Unary(op, Expr::Field(FieldRef::Meta(
+                                                       Meta("a", w)))))},
+                               w, 0),
+                   std::string(OpName(op)) + " w=" + std::to_string(w) +
+                       " a=" + std::to_string(a));
+      }
+      for (uint64_t b : edges) {
+        SetInput("b", w, b);
+        for (Expr::Op op : kBinaryOps) {
+          const std::string what = std::string(OpName(op)) +
+                                   " w=" + std::to_string(w) +
+                                   " a=" + std::to_string(a) +
+                                   " b=" + std::to_string(b);
+          // A metadata field against an action parameter...
+          ExpectSame(ActionStage({ActionOp::Assign(
+                                     FieldRef::Meta("out"),
+                                     Expr::Binary(op,
+                                                  Expr::Field(FieldRef::Meta(
+                                                      Meta("a", w))),
+                                                  Expr::Param("p")))},
+                                 w, b),
+                     what + " (meta op param)");
+          // ...and a constant against a metadata field.
+          ExpectSame(ActionStage({ActionOp::Assign(
+                                     FieldRef::Meta("out"),
+                                     Expr::Binary(op, Expr::ConstU(a, w),
+                                                  Expr::Field(FieldRef::Meta(
+                                                      Meta("b", w)))))},
+                                 w, 0),
+                     what + " (const op meta)");
+        }
+      }
+    }
+  }
+}
+
+TEST_F(FlatProgramTest, MixedWidthOperandsMatchInterpreter) {
+  const std::pair<uint32_t, uint32_t> kPairs[] = {{1, 64}, {8, 16}, {63, 8},
+                                                  {64, 1}};
+  for (auto [wa, wb] : kPairs) {
+    for (uint64_t a : EdgeValues(wa)) {
+      SetInput("a", wa, a);
+      for (uint64_t b : EdgeValues(wb)) {
+        for (Expr::Op op :
+             {Expr::Op::kAdd, Expr::Op::kSub, Expr::Op::kMul, Expr::Op::kShl,
+              Expr::Op::kSatAdd, Expr::Op::kFxpQuantize,
+              Expr::Op::kFxpDequantize, Expr::Op::kLt, Expr::Op::kBitXor}) {
+          ExpectSame(ActionStage({ActionOp::Assign(
+                                     FieldRef::Meta("out"),
+                                     Expr::Binary(op,
+                                                  Expr::Field(FieldRef::Meta(
+                                                      Meta("a", wa))),
+                                                  Expr::Param("p")))},
+                                 wb, b),
+                     std::string(OpName(op)) + " wa=" + std::to_string(wa) +
+                         " wb=" + std::to_string(wb) +
+                         " a=" + std::to_string(a) + " b=" + std::to_string(b));
+        }
+      }
+    }
+  }
+}
+
+TEST_F(FlatProgramTest, ShortCircuitSkipsTheRightOperand) {
+  // r[99] is out of range: evaluating it fails the stage.
+  ExprPtr bad = Expr::Register("r", Expr::ConstU(99, 8));
+  for (uint64_t a : {uint64_t{0}, uint64_t{5}}) {
+    SetInput("a", 8, a);
+    ExprPtr lhs = Expr::Field(FieldRef::Meta(Meta("a", 8)));
+    Outcome and_out = ExpectSame(
+        ActionStage({ActionOp::Assign(FieldRef::Meta("out"),
+                                      Expr::Binary(Expr::Op::kAnd, lhs, bad))},
+                    8, 0),
+        "a && r[99], a=" + std::to_string(a));
+    EXPECT_EQ(and_out.status == "OK", a == 0);
+    Outcome or_out = ExpectSame(
+        ActionStage({ActionOp::Assign(FieldRef::Meta("out"),
+                                      Expr::Binary(Expr::Op::kOr, lhs, bad))},
+                    8, 0),
+        "a || r[99], a=" + std::to_string(a));
+    EXPECT_EQ(or_out.status == "OK", a != 0);
+    if (a != 0) {
+      EXPECT_EQ(or_out.out, 1u);
+    }
+    // Nested connectives in a guard decide whether the table applies.
+    for (uint64_t b : {uint64_t{0}, uint64_t{3}}) {
+      SetInput("b", 16, b);
+      ExprPtr guard = Expr::Binary(
+          Expr::Op::kOr,
+          Expr::Binary(Expr::Op::kAnd, Expr::IsValid("ipv4"),
+                       Expr::Binary(Expr::Op::kEq, lhs, Expr::ConstU(5, 8))),
+          Expr::Unary(Expr::Op::kNot,
+                      Expr::Field(FieldRef::Meta(Meta("b", 16)))));
+      ExpectSame(GuardStage(guard), "guard a=" + std::to_string(a) +
+                                        " b=" + std::to_string(b));
+    }
+  }
+}
+
+TEST_F(FlatProgramTest, ErrorPathsMatchInterpreter) {
+  auto assign_out = [&](ExprPtr e) {
+    return ActionStage({ActionOp::Assign(FieldRef::Meta("out"), std::move(e))},
+                       8, 0);
+  };
+  // A header that is not valid in this packet.
+  Outcome invalid = ExpectSame(
+      assign_out(Expr::Field(FieldRef::Header("ipv6", "hop_limit"))),
+      "invalid header");
+  EXPECT_NE(invalid.status.find("'ipv6' is not valid"), std::string::npos);
+  // Raw reads: inside the header, and past the end of the packet.
+  Outcome ttl = ExpectSame(assign_out(Expr::Raw("ipv4", Expr::ConstU(64, 16), 8)),
+                           "raw ttl");
+  EXPECT_EQ(ttl.out, 64u);
+  Outcome past = ExpectSame(
+      assign_out(Expr::Raw("ipv4", Expr::ConstU(4000, 16), 16)), "raw past end");
+  EXPECT_NE(past.status.find("raw read beyond packet end"), std::string::npos);
+  // Registers: a read, and the same read with no register file bound.
+  StageProgram reg_read = assign_out(Expr::Register("r", Expr::ConstU(1, 8)));
+  EXPECT_EQ(ExpectSame(reg_read, "register read").out, 77u);
+  Outcome no_regs = ExpectSame(reg_read, "no register file", false);
+  EXPECT_NE(no_regs.status.find("no register file available"),
+            std::string::npos);
+  // No action arguments: a parameter in a guard. The interpreter fails the
+  // packet; the compiler refuses the stage, so a device runs it on the
+  // interpreter.
+  StageProgram param_guard = GuardStage(Expr::Param("p"));
+  Outcome no_args = Run(param_guard, false, true);
+  EXPECT_NE(no_args.status.find("no action arguments bound"),
+            std::string::npos);
+  EXPECT_FALSE(
+      CompileStage(param_guard, catalog_, actions_, registry_, meta_).ok());
+}
+
+TEST_F(FlatProgramTest, OpsThatConsumeNarrowValuesMatchInterpreter) {
+  SetInput("a", 16, 3);
+  ExprPtr a16 = Expr::Field(FieldRef::Meta(Meta("a", 16)));
+  ExprPtr ttl = Expr::Field(FieldRef::Header("ipv4", "ttl"));
+  ExpectSame(
+      ActionStage(
+          {ActionOp::Assign(FieldRef::Header("ipv4", "ttl"),
+                            Expr::Binary(Expr::Op::kSub, ttl,
+                                         Expr::ConstU(1, 8))),
+           ActionOp::Forward(Expr::Binary(Expr::Op::kAdd, a16, Expr::Param("p"))),
+           ActionOp::RegWrite("r", Expr::Param("p"),
+                              Expr::Binary(Expr::Op::kMul, a16, ttl)),
+           ActionOp::If(Expr::Binary(Expr::Op::kGt, ttl, Expr::ConstU(10, 8)),
+                        {ActionOp::Assign(FieldRef::Meta("out"),
+                                          Expr::ConstU(1, 8))},
+                        {ActionOp::Assign(FieldRef::Meta("out"),
+                                          Expr::ConstU(2, 8))})},
+          8, 2),
+      "assign/forward/regwrite/if");
 }
 
 }  // namespace

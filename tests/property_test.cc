@@ -62,6 +62,83 @@ TEST_P(BitStringPropertyTest, MatchesBoolVectorModel) {
   }
 }
 
+// Word(i) and GetBits read whole 64-bit words, so reads that straddle two
+// words, or run past the width, must still agree with the bit model.
+TEST_P(BitStringPropertyTest, WordReadsStraddleWordBoundaries) {
+  util::Rng rng(GetParam());
+  const size_t width = 65 + rng.NextBelow(240);
+  mem::BitString s(width);
+  std::vector<bool> model(width, false);
+  for (size_t i = 0; i < width; i += 64) {
+    const size_t len = std::min<size_t>(64, width - i);
+    const uint64_t v = rng.Next();
+    s.SetBits(i, len, v);
+    for (size_t b = 0; b < len; ++b) model[i + b] = (v >> b) & 1;
+  }
+  auto expect = [&](size_t off, size_t len) {
+    uint64_t v = 0;
+    for (size_t b = 0; b < len; ++b) {
+      if (off + b < width && model[off + b]) v |= uint64_t{1} << b;
+    }
+    return v;
+  };
+  for (int q = 0; q < 400; ++q) {
+    const size_t len = 1 + rng.NextBelow(64);
+    size_t off = rng.NextBelow(width + 8);
+    if (q % 2 == 0) {
+      // Straddle a word boundary inside the string.
+      const size_t boundary = 64 * (1 + rng.NextBelow((width - 1) / 64));
+      off = boundary - 1 - rng.NextBelow(std::min<size_t>(len, boundary));
+    }
+    ASSERT_EQ(s.GetBits(off, len), expect(off, len))
+        << "off=" << off << " len=" << len << " width=" << width;
+  }
+  for (size_t i = 0; i < s.WordCount() + 2; ++i) {
+    ASSERT_EQ(s.Word(i), expect(i * 64, 64)) << "word " << i;
+  }
+}
+
+// Every bit at or above bit_width() reads as zero after a write that
+// narrows a string whose old bits were all ones: a shrinking Resize,
+// Assign from a wider string, and AssignWords.
+TEST_P(BitStringPropertyTest, TailStaysZeroAfterShrinkingWrites) {
+  util::Rng rng(GetParam());
+  const size_t wide = 129 + rng.NextBelow(200);
+  const size_t narrow = 1 + rng.NextBelow(wide - 1);
+  mem::BitString ones(wide);
+  for (size_t i = 0; i < wide; i += 64) ones.SetBits(i, 64, ~uint64_t{0});
+  auto expect_ones_below = [&](const mem::BitString& s, size_t set,
+                               const char* what) {
+    ASSERT_EQ(s.bit_width(), narrow) << what;
+    for (size_t i = 0; i < s.WordCount() + 1; ++i) {
+      const size_t lo = i * 64;
+      const uint64_t want =
+          lo >= set ? 0
+                    : (set - lo >= 64 ? ~uint64_t{0}
+                                      : (uint64_t{1} << (set - lo)) - 1);
+      ASSERT_EQ(s.Word(i), want) << what << " word " << i;
+    }
+  };
+
+  mem::BitString resized = ones;
+  resized.Resize(narrow);
+  expect_ones_below(resized, 0, "Resize");
+
+  mem::BitString assigned(narrow);
+  assigned.Assign(ones);
+  expect_ones_below(assigned, narrow, "Assign");
+
+  // The words AssignWords takes: ones below `narrow`, zero from it up.
+  std::vector<uint64_t> words((wide + 63) / 64, 0);
+  for (size_t i = 0; i < narrow; ++i) words[i / 64] |= uint64_t{1} << (i % 64);
+  mem::BitString from_words = ones;
+  from_words.AssignWords(narrow, words.data());
+  expect_ones_below(from_words, narrow, "AssignWords");
+
+  EXPECT_EQ(assigned, from_words);
+  EXPECT_EQ(mem::BitString::FromBytes(ones.bytes(), narrow), assigned);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BitStringPropertyTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
 

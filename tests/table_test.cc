@@ -199,7 +199,39 @@ TEST_F(TableTest, LpmHandles128BitKeys) {
   EXPECT_FALSE((*t)->Lookup(outside).hit);
 }
 
-// Randomized sweep: trie result must equal a linear reference scan.
+// A random `width`-bit string.
+mem::BitString RandomBits(util::Rng& rng, uint32_t width) {
+  mem::BitString s(width);
+  for (uint32_t i = 0; i < width; i += 64) {
+    s.SetBits(i, std::min(64u, width - i), rng.Next());
+  }
+  return s;
+}
+
+// The mask of a /len prefix of a `width`-bit key: its top `len` bits.
+mem::BitString PrefixMask(uint32_t width, uint32_t len) {
+  mem::BitString m(width);
+  for (uint32_t i = width - len; i < width; ++i) m.SetBit(i, true);
+  return m;
+}
+
+// (a & mask) | (b & ~mask), word by word.
+mem::BitString Blend(const mem::BitString& a, const mem::BitString& b,
+                     const mem::BitString& mask) {
+  std::vector<uint64_t> words(a.WordCount());
+  for (size_t i = 0; i < words.size(); ++i) {
+    words[i] = (a.Word(i) & mask.Word(i)) | (b.Word(i) & ~mask.Word(i));
+  }
+  mem::BitString out;
+  out.AssignWords(a.bit_width(), words.data());
+  return out;
+}
+
+// Randomized sweep: trie result must equal a linear reference scan. Each
+// case runs at every key width below, in a table small enough for a
+// 3-bit root partition and one large enough for a 7-bit one; prefix
+// lengths cluster around `width - 64` so prefixes end on both sides of bit
+// 64 of the key.
 struct LpmSweepParam {
   uint64_t seed;
   uint32_t entries;
@@ -208,54 +240,81 @@ struct LpmSweepParam {
 class LpmSweepTest : public ::testing::TestWithParam<LpmSweepParam> {};
 
 TEST_P(LpmSweepTest, MatchesLinearReference) {
-  mem::Pool pool(TestPool());
-  auto t = CreateTable(Spec("fib", MatchKind::kLpm, 32, 512), pool, 1);
-  ASSERT_TRUE(t.ok());
-  util::Rng rng(GetParam().seed);
+  for (uint32_t width : {9u, 32u, 48u, 64u, 65u, 128u}) {
+    for (uint32_t size : {512u, 8192u}) {
+      SCOPED_TRACE("width=" + std::to_string(width) +
+                   " size=" + std::to_string(size));
+      mem::PoolConfig cfg = TestPool();
+      cfg.sram_blocks = 256;
+      mem::Pool pool(cfg);
+      auto t = CreateTable(Spec("fib", MatchKind::kLpm, width, size), pool, 1);
+      ASSERT_TRUE(t.ok());
+      util::Rng rng(GetParam().seed * 1000 + width);
 
-  struct RefEntry {
-    uint32_t prefix;
-    uint32_t len;
-    uint64_t data;
-  };
-  std::vector<RefEntry> ref;
-  for (uint32_t i = 0; i < GetParam().entries; ++i) {
-    uint32_t len = static_cast<uint32_t>(rng.NextInRange(0, 32));
-    uint32_t prefix = static_cast<uint32_t>(rng.Next());
-    if (len != 0 && len < 32) prefix &= ~((1u << (32 - len)) - 1);
-    Entry e = MakeEntry(prefix, 32, 1, i + 1);
-    e.prefix_len = len;
-    ASSERT_TRUE((*t)->Insert(e).ok());
-    // Reference keeps the last data for duplicate prefixes (update-in-place).
-    bool updated = false;
-    for (auto& r : ref) {
-      if (r.prefix == prefix && r.len == len) {
-        r.data = i + 1;
-        updated = true;
+      struct RefEntry {
+        mem::BitString prefix;
+        mem::BitString mask;
+        uint32_t len;
+        uint64_t data;
+      };
+      std::vector<RefEntry> ref;
+      for (uint32_t i = 0; i < GetParam().entries; ++i) {
+        uint32_t len = static_cast<uint32_t>(rng.NextInRange(0, width));
+        if (rng.NextBelow(3) == 0) {
+          // Around bit 64 of the key: the prefix ends just above, at or
+          // just below it.
+          int64_t near = static_cast<int64_t>(width) - 64 +
+                         static_cast<int64_t>(rng.NextInRange(0, 2)) - 1;
+          len = static_cast<uint32_t>(
+              std::clamp<int64_t>(near, 0, static_cast<int64_t>(width)));
+        }
+        mem::BitString mask = PrefixMask(width, len);
+        mem::BitString prefix =
+            Blend(RandomBits(rng, width), mem::BitString(width), mask);
+        Entry e;
+        e.key = prefix;
+        e.prefix_len = len;
+        e.action_id = 1;
+        e.action_data = mem::BitString(32, i + 1);
+        ASSERT_TRUE((*t)->Insert(e).ok());
+        // Reference keeps the last data for duplicate prefixes
+        // (update-in-place).
+        bool updated = false;
+        for (auto& r : ref) {
+          if (r.prefix == prefix && r.len == len) {
+            r.data = i + 1;
+            updated = true;
+          }
+        }
+        if (!updated) ref.push_back({prefix, mask, len, i + 1});
       }
-    }
-    if (!updated) ref.push_back({prefix, len, i + 1});
-  }
 
-  for (int q = 0; q < 500; ++q) {
-    uint32_t addr = static_cast<uint32_t>(rng.Next());
-    // Linear reference: longest matching prefix, latest data.
-    int32_t best_len = -1;
-    uint64_t best_data = 0;
-    for (const auto& r : ref) {
-      uint32_t mask = r.len == 0 ? 0 : ~((r.len == 32 ? 0 : (1u << (32 - r.len)) - 1));
-      if ((addr & mask) == (r.prefix & mask) &&
-          static_cast<int32_t>(r.len) > best_len) {
-        best_len = static_cast<int32_t>(r.len);
-        best_data = r.data;
+      for (int q = 0; q < 300; ++q) {
+        mem::BitString addr = RandomBits(rng, width);
+        if (!ref.empty() && rng.NextBool()) {
+          // Inside a random entry's prefix, so most queries hit.
+          const RefEntry& r = ref[rng.NextBelow(ref.size())];
+          addr = Blend(r.prefix, addr, r.mask);
+        }
+        // Linear reference: longest matching prefix, latest data.
+        int32_t best_len = -1;
+        uint64_t best_data = 0;
+        for (const auto& r : ref) {
+          if (addr.MatchesUnderMask(r.prefix, r.mask) &&
+              static_cast<int32_t>(r.len) > best_len) {
+            best_len = static_cast<int32_t>(r.len);
+            best_data = r.data;
+          }
+        }
+        LookupResult got = (*t)->Lookup(addr);
+        if (best_len < 0) {
+          EXPECT_FALSE(got.hit) << "addr=" << addr.ToHex();
+        } else {
+          ASSERT_TRUE(got.hit) << "addr=" << addr.ToHex();
+          EXPECT_EQ(got.action_data.ToUint64(), best_data)
+              << "addr=" << addr.ToHex();
+        }
       }
-    }
-    LookupResult got = (*t)->Lookup(mem::BitString(32, addr));
-    if (best_len < 0) {
-      EXPECT_FALSE(got.hit) << "addr=" << addr;
-    } else {
-      ASSERT_TRUE(got.hit) << "addr=" << addr;
-      EXPECT_EQ(got.action_data.ToUint64(), best_data) << "addr=" << addr;
     }
   }
 }
@@ -265,6 +324,118 @@ INSTANTIATE_TEST_SUITE_P(RandomTries, LpmSweepTest,
                                            LpmSweepParam{2, 64},
                                            LpmSweepParam{3, 200},
                                            LpmSweepParam{4, 400}));
+
+// A full table refuses every new prefix, /32 or /128 alike, and the refusals
+// leave the table exactly as it was: entry count, free rows and every
+// lookup. Once a row is freed, a refused prefix inserts and matches.
+TEST_F(TableTest, LpmRejectedInsertsChangeNothing) {
+  for (uint32_t width : {32u, 128u}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    mem::Pool pool(TestPool());
+    auto t = CreateTable(Spec("fib", MatchKind::kLpm, width, 16), pool, 1);
+    ASSERT_TRUE(t.ok());
+    std::vector<Entry> filled;
+    for (uint32_t i = 0; i < 16; ++i) {
+      Entry e;
+      e.key = mem::BitString(width);
+      e.key.SetBits(width - 8, 8, i * 16);
+      e.prefix_len = 8;
+      e.action_id = 1;
+      e.action_data = mem::BitString(32, i + 1);
+      ASSERT_TRUE((*t)->Insert(e).ok());
+      filled.push_back(e);
+    }
+    util::Rng rng(width);
+    std::vector<mem::BitString> probes;
+    for (int q = 0; q < 256; ++q) probes.push_back(RandomBits(rng, width));
+    auto sweep = [&] {
+      std::vector<uint64_t> out;
+      for (const mem::BitString& k : probes) {
+        LookupResult r = (*t)->Lookup(k);
+        out.push_back(r.hit ? r.action_data.ToUint64() : ~uint64_t{0});
+      }
+      return out;
+    };
+    const std::vector<uint64_t> before = sweep();
+    const uint32_t count = (*t)->entry_count();
+    const uint32_t free_rows = (*t)->FreeRows();
+
+    std::vector<Entry> refused;
+    for (int i = 0; i < 200; ++i) {
+      Entry e;
+      e.key = RandomBits(rng, width);
+      e.prefix_len = width;
+      e.action_id = 1;
+      e.action_data = mem::BitString(32, 1000 + i);
+      ASSERT_EQ((*t)->Insert(e).code(), StatusCode::kResourceExhausted);
+      refused.push_back(e);
+    }
+    EXPECT_EQ((*t)->entry_count(), count);
+    EXPECT_EQ((*t)->FreeRows(), free_rows);
+    EXPECT_EQ(sweep(), before);
+
+    ASSERT_TRUE((*t)->Erase(filled[3]).ok());
+    ASSERT_TRUE((*t)->Insert(refused[0]).ok());
+    LookupResult got = (*t)->Lookup(refused[0].key);
+    ASSERT_TRUE(got.hit);
+    EXPECT_EQ(got.action_data.ToUint64(), 1000u);
+  }
+}
+
+// Exact tables hash and compare keys as words. At every width below, keys
+// that differ only in the last partial byte, or only across the 64-bit
+// word boundary (bits 63 and 64), must each find exactly their own entry,
+// as a linear reference scan does.
+TEST_F(TableTest, ExactWordKeysMatchLinearReference) {
+  for (uint32_t width : {9u, 32u, 48u, 64u, 65u, 128u}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    mem::Pool pool(TestPool());
+    auto t = CreateTable(Spec("t", MatchKind::kExact, width, 512), pool, 1);
+    ASSERT_TRUE(t.ok());
+    util::Rng rng(width + 7);
+    std::vector<std::pair<mem::BitString, uint64_t>> ref;
+    std::vector<mem::BitString> probes;
+    auto flipped = [](mem::BitString k, std::initializer_list<uint32_t> bits) {
+      for (uint32_t b : bits) k.SetBit(b, !k.GetBit(b));
+      return k;
+    };
+    for (int i = 0; i < 60; ++i) {
+      mem::BitString base = RandomBits(rng, width);
+      std::vector<mem::BitString> family = {base, flipped(base, {width - 1})};
+      if (width % 8 != 0) family.push_back(flipped(base, {width / 8 * 8}));
+      if (width > 64) {
+        family.push_back(flipped(base, {63}));
+        family.push_back(flipped(base, {64}));
+        family.push_back(flipped(base, {63, 64}));
+      }
+      for (const mem::BitString& k : family) {
+        probes.push_back(k);
+        if (!rng.NextBool()) continue;
+        bool known = false;
+        for (const auto& r : ref) known = known || r.first == k;
+        if (known) continue;
+        Entry e;
+        e.key = k;
+        e.action_id = 1;
+        e.action_data = mem::BitString(32, ref.size() + 1);
+        ASSERT_TRUE((*t)->Insert(e).ok());
+        ref.emplace_back(k, ref.size() + 1);
+      }
+    }
+    for (int q = 0; q < 100; ++q) probes.push_back(RandomBits(rng, width));
+    for (const mem::BitString& k : probes) {
+      const std::pair<mem::BitString, uint64_t>* want = nullptr;
+      for (const auto& r : ref) {
+        if (r.first == k) want = &r;
+      }
+      LookupResult got = (*t)->Lookup(k);
+      ASSERT_EQ(got.hit, want != nullptr) << k.ToHex();
+      if (want != nullptr) {
+        EXPECT_EQ(got.action_data.ToUint64(), want->second) << k.ToHex();
+      }
+    }
+  }
+}
 
 // --- ternary ---------------------------------------------------------------------
 
