@@ -984,6 +984,21 @@ TEST_F(FlatProgramTest, ErrorPathsMatchInterpreter) {
       CompileStage(param_guard, catalog_, actions_, registry_, meta_).ok());
 }
 
+// A right-deep tree needs one stack value per level: deeper than the flat
+// program's fixed stack, it stays on the BitString evaluator, with the
+// same result.
+TEST_F(FlatProgramTest, TreeDeeperThanTheStackMatchesInterpreter) {
+  SetInput("a", 16, 5);
+  ExprPtr e = Expr::Field(FieldRef::Meta(Meta("a", 16)));
+  for (int i = 0; i < 40; ++i) {
+    e = Expr::Binary(Expr::Op::kAdd, Expr::ConstU(1, 16), e);
+  }
+  Outcome out = ExpectSame(
+      ActionStage({ActionOp::Assign(FieldRef::Meta("out"), e)}, 8, 0),
+      "40-deep sum");
+  EXPECT_EQ(out.out, 45u);
+}
+
 TEST_F(FlatProgramTest, OpsThatConsumeNarrowValuesMatchInterpreter) {
   SetInput("a", 16, 3);
   ExprPtr a16 = Expr::Field(FieldRef::Meta(Meta("a", 16)));
