@@ -1,4 +1,5 @@
-// Per-kind table lookup micro-benchmark with a heap-allocation counter.
+// Per-kind table lookup micro-benchmark with a heap-allocation counter, and
+// a per-op write row.
 //
 // The lookup hot path is designed to be allocation-free in steady state:
 // SBO BitStrings, decoded-entry caches, and in-place LookupInto against a
@@ -6,13 +7,22 @@
 // and — via global operator new/delete counting — asserts the number of
 // heap allocations per steady-state lookup is exactly zero.
 //
+// The write row times one unbatched upsert (one publication and one RCU
+// grace period, as a runtime-API AddEntry outside a batch) into a table that
+// already holds N entries, per kind and N. A write should cost what it
+// changes, not what the table holds.
+//
 //   bench_tables           full run, prints a table per match kind
-//   bench_tables --smoke   CI gate: exit 1 if any kind allocates per lookup
+//   bench_tables --smoke   CI gate: exit 1 if any kind allocates per lookup,
+//                          or if a selector upsert into a 256-member group
+//                          costs more than 2x one into an 8-member group
 //
 // Hand-rolled timing (min of interleaved rounds) instead of
 // google-benchmark because the deliverable includes an exit code and an
 // allocation count, not just a time.
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -191,6 +201,121 @@ KindReport MeasureKind(table::MatchKind kind, bool smoke) {
   return rep;
 }
 
+// --- per-op writes -----------------------------------------------------------
+
+// The i-th of `held` distinct entries of `kind` (keys spread evenly over the
+// key space; LPM routes are /32s one per top-bit slot, as in bench_control's
+// big LPM table).
+table::Entry WriteEntry(table::MatchKind kind, uint32_t i, uint32_t held,
+                        uint64_t data) {
+  table::Entry e;
+  e.action_id = 1;
+  e.action_data = mem::BitString(kActionWidth, data);
+  const uint32_t spread = held > 1 ? 32 - std::countr_zero(std::bit_ceil(held))
+                                   : 32;
+  switch (kind) {
+    case table::MatchKind::kExact:
+      e.key = mem::BitString(kKeyWidth, i * 2654435761u);
+      break;
+    case table::MatchKind::kLpm:
+      e.key = mem::BitString(kKeyWidth, uint64_t{i} << spread);
+      e.prefix_len = kKeyWidth;
+      break;
+    case table::MatchKind::kTernary:
+      e.key = mem::BitString(kKeyWidth, i);
+      e.mask = mem::BitString(kKeyWidth, 0xFFFFFFFFu);
+      e.priority = i % 11;
+      break;
+    case table::MatchKind::kSelector:
+      e.key = mem::BitString(kKeyWidth, i);
+      break;
+  }
+  return e;
+}
+
+// ns per unbatched upsert of an entry a `held`-entry table already holds
+// (min of interleaved rounds); with `modify`, per erase + re-insert pair,
+// which is how the daemon applies a kModify op. The fill runs as one batch.
+double WriteNsPerOp(table::MatchKind kind, uint32_t held, bool smoke,
+                    bool modify = false) {
+  mem::PoolConfig cfg = BenchPool();
+  cfg.sram_blocks += held / cfg.sram_depth;
+  mem::Pool pool(cfg);
+  table::TableSpec spec = Spec(kind);
+  spec.size = std::max(held, kTableSize);
+  auto t = table::CreateTable(spec, pool, 1);
+  if (!t.ok()) {
+    std::fprintf(stderr, "FATAL: %s\n", t.status().ToString().c_str());
+    std::exit(2);
+  }
+  (*t)->BeginBatch();
+  for (uint32_t i = 0; i < held; ++i) {
+    if (Status s = (*t)->Insert(WriteEntry(kind, i, held, i)); !s.ok()) {
+      std::fprintf(stderr, "FATAL: %s\n", s.ToString().c_str());
+      std::exit(2);
+    }
+  }
+  (*t)->EndBatch();
+
+  const uint32_t ops = held > 4096 ? 256 : 2048;
+  std::vector<table::Entry> writes;
+  for (uint32_t k = 0; k < ops; ++k) {
+    writes.push_back(WriteEntry(kind, (k * 7) % held, held, 0xC0DE + k));
+  }
+  const int rounds = smoke ? 3 : 5;
+  double best_ns = 1e18;
+  for (int r = 0; r < rounds; ++r) {
+    auto t0 = Clock::now();
+    for (const table::Entry& e : writes) {
+      if (modify && !(*t)->Erase(e).ok()) std::exit(2);
+      if (!(*t)->Insert(e).ok()) std::exit(2);
+    }
+    auto t1 = Clock::now();
+    const double ns =
+        static_cast<double>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                .count()) /
+        ops;
+    best_ns = std::min(best_ns, ns);
+  }
+  return best_ns;
+}
+
+// The write row: per kind, an upsert into 8 and into 256 held entries,
+// plus LPM at bench_control's 65536-entry scale. Returns false when the
+// selector gate fails.
+bool RunWrites(bool smoke) {
+  const table::MatchKind kinds[] = {
+      table::MatchKind::kExact, table::MatchKind::kLpm,
+      table::MatchKind::kTernary, table::MatchKind::kSelector};
+  std::printf("\n%-10s %16s %16s %8s\n", "kind", "ns/write N=8",
+              "ns/write N=256", "ratio");
+  double selector_ratio = 0;
+  for (table::MatchKind kind : kinds) {
+    const double small = WriteNsPerOp(kind, 8, smoke);
+    const double large = WriteNsPerOp(kind, 256, smoke);
+    std::printf("%-10s %16.1f %16.1f %8.2f\n",
+                std::string(table::MatchKindName(kind)).c_str(), small, large,
+                large / small);
+    if (kind == table::MatchKind::kSelector) selector_ratio = large / small;
+  }
+  if (!smoke) {
+    // bench_control's big LPM table: one upsert, and the erase + insert
+    // pair its batched kModify ops cost in process.
+    std::printf("%-10s %16s %16.1f   (N=65536, bench_control's big LPM)\n",
+                "lpm", "",
+                WriteNsPerOp(table::MatchKind::kLpm, 65536, smoke));
+    std::printf("%-10s %16s %16.1f   (N=65536, erase + insert)\n",
+                "lpm", "",
+                WriteNsPerOp(table::MatchKind::kLpm, 65536, smoke, true));
+  }
+  const bool ok = selector_ratio <= 2.0;
+  std::printf("%s: selector upsert into 256 members costs %.2fx one into 8 "
+              "(gate <= 2x)\n",
+              ok ? "OK" : "FAIL", selector_ratio);
+  return ok;
+}
+
 int Run(bool smoke) {
 #ifndef NDEBUG
   std::fprintf(stderr,
@@ -222,7 +347,7 @@ int Run(bool smoke) {
     return 1;
   }
   std::printf("OK: 0 heap allocations per steady-state lookup, all kinds\n");
-  return 0;
+  return RunWrites(smoke) ? 0 : 1;
 }
 
 }  // namespace

@@ -251,57 +251,64 @@ struct PipelineGraph {
     return std::find(nodes.begin(), nodes.end(), n) != nodes.end();
   }
 
-  size_t IndexOf(const std::string& n) const {
-    return static_cast<size_t>(
-        std::find(nodes.begin(), nodes.end(), n) - nodes.begin());
-  }
-
   // Kahn topological order over the subgraph reachable from `entry`,
-  // breaking ties by original position.
+  // breaking ties by original position. Every edge joins two nodes (links
+  // are checked against `nodes` when added), so the walk runs over node
+  // positions; a name listed twice is one node, at its first position.
   Result<std::vector<std::string>> OrderFrom(const std::string& entry) const {
-    // Reachability.
-    std::set<std::string> reachable;
-    std::vector<std::string> frontier{entry};
-    while (!frontier.empty()) {
-      std::string n = frontier.back();
-      frontier.pop_back();
-      if (!reachable.insert(n).second) continue;
-      for (const auto& [from, to] : edges) {
-        if (from == n) frontier.push_back(to);
+    std::map<std::string_view, size_t> position;
+    for (size_t i = 0; i < nodes.size(); ++i) position.emplace(nodes[i], i);
+    auto entry_it = position.find(entry);
+    if (entry_it == position.end()) return std::vector<std::string>{entry};
+    std::vector<std::vector<size_t>> succ(nodes.size());
+    for (const auto& [from, to] : edges) {
+      auto f = position.find(from);
+      auto t = position.find(to);
+      if (f != position.end() && t != position.end()) {
+        succ[f->second].push_back(t->second);
       }
+    }
+    // Reachability.
+    std::vector<bool> reachable(nodes.size(), false);
+    size_t reached = 0;
+    std::vector<size_t> frontier{entry_it->second};
+    while (!frontier.empty()) {
+      const size_t n = frontier.back();
+      frontier.pop_back();
+      if (reachable[n]) continue;
+      reachable[n] = true;
+      ++reached;
+      for (size_t to : succ[n]) frontier.push_back(to);
     }
     // Kahn.
-    std::map<std::string, uint32_t> indegree;
-    for (const auto& n : reachable) indegree[n] = 0;
-    for (const auto& [from, to] : edges) {
-      if (reachable.count(from) && reachable.count(to)) ++indegree[to];
+    std::vector<uint32_t> indegree(nodes.size(), 0);
+    for (size_t n = 0; n < nodes.size(); ++n) {
+      if (!reachable[n]) continue;
+      for (size_t to : succ[n]) {
+        if (reachable[to]) ++indegree[to];
+      }
     }
+    std::vector<bool> consumed(nodes.size(), false);
     std::vector<std::string> order;
-    while (order.size() < reachable.size()) {
+    order.reserve(reached);
+    while (order.size() < reached) {
       // Pick the ready node with the smallest original index.
-      std::string pick;
-      size_t best = SIZE_MAX;
-      for (const auto& [n, deg] : indegree) {
-        if (deg != 0) continue;
-        if (std::find(order.begin(), order.end(), n) != order.end()) continue;
-        size_t idx = IndexOf(n);
-        if (idx < best) {
-          best = idx;
+      size_t pick = nodes.size();
+      for (size_t n = 0; n < nodes.size(); ++n) {
+        if (reachable[n] && !consumed[n] && indegree[n] == 0) {
           pick = n;
+          break;
         }
       }
-      if (pick.empty()) {
+      if (pick == nodes.size()) {
         return FailedPrecondition(
             "pipeline links form a cycle; cannot linearize");
       }
-      order.push_back(pick);
-      for (const auto& [from, to] : edges) {
-        if (from == pick && reachable.count(to)) {
-          auto it = indegree.find(to);
-          if (it != indegree.end() && it->second > 0) --it->second;
-        }
+      order.push_back(nodes[pick]);
+      consumed[pick] = true;
+      for (size_t to : succ[pick]) {
+        if (reachable[to] && indegree[to] > 0) --indegree[to];
       }
-      indegree[pick] = UINT32_MAX;  // consumed
     }
     return order;
   }
@@ -667,21 +674,23 @@ Result<UpdatePlan> CompileUpdate(const rp4::Rp4Program& base,
   // Rebuild updated program's stage lists in the new order.
   {
     std::vector<StageProgram> all_stages;
-    auto find_stage = [&](const std::string& name) -> const StageProgram* {
-      for (const auto& s : updated.ingress_stages) {
+    auto find_stage = [&](const std::string& name) -> StageProgram* {
+      for (auto& s : updated.ingress_stages) {
         if (s.name == name) return &s;
       }
-      for (const auto& s : updated.egress_stages) {
+      for (auto& s : updated.egress_stages) {
         if (s.name == name) return &s;
       }
       return nullptr;
     };
+    // Each ordered name occurs once, so its program moves over; the lists
+    // it moves out of are reassigned below.
     for (const auto& name : new_order) {
-      const StageProgram* s = find_stage(name);
+      StageProgram* s = find_stage(name);
       if (s == nullptr) {
         return InternalError("ordered stage '" + name + "' has no program");
       }
-      all_stages.push_back(*s);
+      all_stages.push_back(std::move(*s));
     }
     updated.ingress_stages.assign(
         all_stages.begin(),
@@ -909,19 +918,16 @@ Result<UpdatePlan> CompileUpdate(const rp4::Rp4Program& base,
 
   // Destroy tables/actions/registers that lost their last reference
   // (deleted-stage cleanup; §2.4 "the associated memory blocks are also
-  // recycled").
+  // recycled"). The program was lowered once above, after its stages took
+  // their final order; what this step destroys comes out of both.
+  std::set<std::string> destroyed_tables, removed_actions;
   for (const auto& t : base.tables) {
     if (referenced_tables.count(t.name) == 0) {
       DeviceOp op;
       op.kind = DeviceOp::Kind::kDestroyTable;
       op.name = t.name;
       plan.ops.push_back(std::move(op));
-      updated.tables.erase(
-          std::remove_if(updated.tables.begin(), updated.tables.end(),
-                         [&](const rp4::Rp4TableDecl& d) {
-                           return d.name == t.name;
-                         }),
-          updated.tables.end());
+      destroyed_tables.insert(t.name);
     }
   }
   if (request.remove) {
@@ -931,16 +937,35 @@ Result<UpdatePlan> CompileUpdate(const rp4::Rp4Program& base,
         op.kind = DeviceOp::Kind::kRemoveAction;
         op.name = a.name;
         plan.ops.push_back(std::move(op));
-        updated.actions.erase(
-            std::remove_if(updated.actions.begin(), updated.actions.end(),
-                           [&](const ActionDef& d) { return d.name == a.name; }),
-            updated.actions.end());
+        removed_actions.insert(a.name);
       }
+    }
+  }
+  auto destroyed = [&](const std::string& name) {
+    return destroyed_tables.count(name) > 0;
+  };
+  std::erase_if(updated.tables, [&](const rp4::Rp4TableDecl& d) {
+    return destroyed(d.name);
+  });
+  std::erase_if(updated_design.tables, [&](const arch::TableDecl& d) {
+    return destroyed(d.spec.name);
+  });
+  auto removed = [&](const ActionDef& d) {
+    return removed_actions.count(d.name) > 0;
+  };
+  std::erase_if(updated.actions, removed);
+  std::erase_if(updated_design.actions, removed);
+  if (!removed_actions.empty()) {
+    // A table's action-data width follows the actions that remain.
+    for (size_t i = 0; i < updated.tables.size(); ++i) {
+      IPSA_ASSIGN_OR_RETURN(
+          updated_design.tables[i].spec.action_data_width_bits,
+          rp4::TableActionDataWidth(updated, updated.tables[i]));
     }
   }
 
   // Final state.
-  IPSA_ASSIGN_OR_RETURN(plan.updated_design, rp4::LowerToDesign(updated));
+  plan.updated_design = std::move(updated_design);
   plan.updated_program = std::move(updated);
   plan.updated_layout.assignments = placed.assignments;
   plan.updated_layout.table_cluster = layout.table_cluster;

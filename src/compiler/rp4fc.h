@@ -20,14 +20,16 @@ struct TableApi {
   std::vector<arch::FieldRef> key_fields;
   std::vector<uint32_t> key_field_widths;
   // Action name -> (tag used as action_id, parameter widths).
-  std::map<std::string, std::pair<uint32_t, std::vector<uint32_t>>> actions;
+  std::map<std::string, std::pair<uint32_t, std::vector<uint32_t>>,
+           std::less<>>
+      actions;
 };
 
 struct ApiSpec {
-  std::map<std::string, TableApi> tables;
+  std::map<std::string, TableApi, std::less<>> tables;
 
   const TableApi* Find(std::string_view table) const {
-    auto it = tables.find(std::string(table));
+    auto it = tables.find(table);
     return it == tables.end() ? nullptr : &it->second;
   }
   util::Json ToJson() const;

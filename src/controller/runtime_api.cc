@@ -1,6 +1,6 @@
 #include "controller/runtime_api.h"
 
-#include "arch/catalog.h"
+#include <algorithm>
 
 namespace ipsa::controller {
 
@@ -24,6 +24,39 @@ mem::BitString Ipv6Bits(const std::array<uint8_t, 16>& addr_be) {
   return out;
 }
 
+namespace {
+
+// Packs `parts` low-bits-first at `widths` (the BindActionArgs layout for
+// action arguments, arch::ConcatBits for keys) into one string sized once:
+// `put(out, offset, width, part)` stores each part, whole words at a time,
+// truncated or zero-extended to its width. Parts beyond `widths` are
+// ignored.
+template <typename Part, typename Put>
+mem::BitString PackWords(const std::vector<uint32_t>& widths,
+                         const std::vector<Part>& parts, Put put) {
+  size_t total = 0;
+  for (uint32_t w : widths) total += w;
+  mem::BitString packed(total);
+  size_t offset = 0;
+  for (size_t i = 0; i < widths.size() && i < parts.size(); ++i) {
+    put(packed, offset, widths[i], parts[i]);
+    offset += widths[i];
+  }
+  return packed;
+}
+
+void PutBits(mem::BitString& out, size_t offset, uint32_t width,
+             const mem::BitString& bits) {
+  out.SetBitsFrom(offset, bits, 0, std::min<size_t>(width, bits.bit_width()));
+}
+
+mem::BitString PackArgs(const std::vector<uint32_t>& widths,
+                        const std::vector<mem::BitString>& args) {
+  return PackWords(widths, args, PutBits);
+}
+
+}  // namespace
+
 Result<mem::BitString> EntryBuilder::PackKey(
     const compiler::TableApi& api, const std::vector<KeyValue>& values) const {
   if (values.size() != api.key_field_widths.size()) {
@@ -32,22 +65,23 @@ Result<mem::BitString> EntryBuilder::PackKey(
                            " key fields, got " +
                            std::to_string(values.size()));
   }
-  std::vector<mem::BitString> parts;
-  parts.reserve(values.size());
   for (size_t i = 0; i < values.size(); ++i) {
-    uint32_t w = api.key_field_widths[i];
-    if (values[i].has_bits) {
-      if (values[i].bits.bit_width() != w) {
-        return InvalidArgument("key field " + std::to_string(i) +
-                               " width mismatch for table '" + api.table +
-                               "'");
-      }
-      parts.push_back(values[i].bits);
-    } else {
-      parts.push_back(mem::BitString(w, values[i].raw));
+    if (values[i].has_bits &&
+        values[i].bits.bit_width() != api.key_field_widths[i]) {
+      return InvalidArgument("key field " + std::to_string(i) +
+                             " width mismatch for table '" + api.table + "'");
     }
   }
-  return arch::ConcatBits(parts);
+  return PackWords(api.key_field_widths, values,
+                   [](mem::BitString& out, size_t offset, uint32_t width,
+                      const KeyValue& v) {
+                     if (v.has_bits) {
+                       PutBits(out, offset, width, v.bits);
+                     } else {
+                       out.SetBits(offset, std::min<uint32_t>(width, 64),
+                                   v.raw);
+                     }
+                   });
 }
 
 Result<table::Entry> EntryBuilder::Build(
@@ -68,12 +102,13 @@ Result<table::Entry> EntryBuilder::Build(
   } else if (api->match_kind == table::MatchKind::kTernary) {
     // Default: exact-match mask over the whole key.
     entry.mask = mem::BitString(entry.key.bit_width());
-    for (size_t i = 0; i < entry.mask.bit_width(); ++i) {
-      entry.mask.SetBit(i, true);
+    for (size_t i = 0; i < entry.mask.bit_width(); i += 64) {
+      const size_t chunk = std::min<size_t>(64, entry.mask.bit_width() - i);
+      entry.mask.SetBits(i, chunk, ~uint64_t{0});
     }
   }
 
-  auto it = api->actions.find(std::string(action));
+  auto it = api->actions.find(action);
   if (it == api->actions.end()) {
     return NotFound("table '" + std::string(table) + "' has no action '" +
                     std::string(action) + "' in its executor");
@@ -85,19 +120,7 @@ Result<table::Entry> EntryBuilder::Build(
                            std::to_string(widths.size()) + " args, got " +
                            std::to_string(action_args.size()));
   }
-  // Pack args low-bits-first in parameter order (BindActionArgs layout).
-  size_t total = 0;
-  for (uint32_t w : widths) total += w;
-  mem::BitString packed(total);
-  size_t offset = 0;
-  for (size_t i = 0; i < action_args.size(); ++i) {
-    for (uint32_t b = 0; b < widths[i] && b < action_args[i].bit_width();
-         ++b) {
-      packed.SetBit(offset + b, action_args[i].GetBit(b));
-    }
-    offset += widths[i];
-  }
-  entry.action_data = std::move(packed);
+  entry.action_data = PackArgs(widths, action_args);
   return entry;
 }
 
@@ -112,25 +135,13 @@ Result<table::Entry> EntryBuilder::BuildSelectorMember(
   for (uint32_t w : api->key_field_widths) key_width += w;
   table::Entry entry;
   entry.key = mem::BitString(key_width, bucket);
-  auto it = api->actions.find(std::string(action));
+  auto it = api->actions.find(action);
   if (it == api->actions.end()) {
     return NotFound("selector table '" + std::string(table) +
                     "' has no action '" + std::string(action) + "'");
   }
   entry.action_id = it->second.first;
-  const std::vector<uint32_t>& widths = it->second.second;
-  size_t total = 0;
-  for (uint32_t w : widths) total += w;
-  mem::BitString packed(total);
-  size_t offset = 0;
-  for (size_t i = 0; i < action_args.size() && i < widths.size(); ++i) {
-    for (uint32_t b = 0; b < widths[i] && b < action_args[i].bit_width();
-         ++b) {
-      packed.SetBit(offset + b, action_args[i].GetBit(b));
-    }
-    offset += widths[i];
-  }
-  entry.action_data = std::move(packed);
+  entry.action_data = PackArgs(it->second.second, action_args);
   return entry;
 }
 

@@ -64,6 +64,7 @@ Status IpbmSwitch::UnlinkHeader(const std::string& pre, uint64_t tag) {
 Status IpbmSwitch::DeclareMetadata(const std::string& name,
                                    uint32_t width_bits) {
   IPSA_RETURN_IF_ERROR(metadata_proto_.Declare(name, width_bits));
+  recompile_all_ = true;  // compiled programs address metadata by slot
   ChargeConfigWords(1);
   BumpStructuralEpoch();
   return OkStatus();
@@ -71,6 +72,7 @@ Status IpbmSwitch::DeclareMetadata(const std::string& name,
 
 Status IpbmSwitch::AddAction(const arch::ActionDef& def) {
   IPSA_RETURN_IF_ERROR(actions_.Add(def));
+  changed_actions_.insert(def.name);
   ChargeConfigWords(2 + def.params.size() + def.body.size() * 2);
   BumpStructuralEpoch();
   return OkStatus();
@@ -78,6 +80,7 @@ Status IpbmSwitch::AddAction(const arch::ActionDef& def) {
 
 Status IpbmSwitch::RemoveAction(const std::string& name) {
   IPSA_RETURN_IF_ERROR(actions_.Remove(name));
+  changed_actions_.insert(name);
   ChargeConfigWords(1);
   BumpStructuralEpoch();
   return OkStatus();
@@ -99,6 +102,7 @@ Status IpbmSwitch::DestroyRegister(const std::string& name) {
 
 Status IpbmSwitch::CreateTable(const arch::TableDecl& decl) {
   IPSA_RETURN_IF_ERROR(catalog_.CreateTable(decl.spec, decl.binding));
+  changed_tables_.insert(decl.spec.name);
   ChargeConfigWords(4);
   BumpStructuralEpoch();
   return OkStatus();
@@ -109,6 +113,7 @@ Status IpbmSwitch::DestroyTable(const std::string& name) {
   // at them are stale; re-routing happens on the next template write of the
   // affected TSPs.
   IPSA_RETURN_IF_ERROR(catalog_.DestroyTable(name));
+  changed_tables_.insert(name);
   ChargeConfigWords(1);
   BumpStructuralEpoch();
   return OkStatus();
@@ -257,31 +262,83 @@ IpbmSwitch::CompiledKey IpbmSwitch::CurrentKey() const {
                      .pipeline = pipeline_version};
 }
 
+bool IpbmSwitch::TspStillCompiled(uint32_t id) const {
+  if (compiled_versions_[id] != pipeline_.tsp(id).config_version()) {
+    return false;
+  }
+  auto changed = [](const std::set<std::string, std::less<>>& names,
+                    const std::string& name) {
+    return names.find(name) != names.end();
+  };
+  for (const CompiledProgram& cp : compiled_tsps_[id]) {
+    if (exec_mode_ == arch::ExecMode::kSpecialize && !cp.compiled) {
+      return false;
+    }
+    const arch::StageProgram& program = *cp.source;
+    for (const arch::MatchRule& rule : program.matcher) {
+      if (!rule.table.empty() && changed(changed_tables_, rule.table)) {
+        return false;
+      }
+    }
+    for (const auto& [tag, action] : program.executor) {
+      if (changed(changed_actions_, action)) return false;
+    }
+    if (changed(changed_actions_, program.miss_action)) return false;
+  }
+  return true;
+}
+
+void IpbmSwitch::CompileTsp(uint32_t id) {
+  std::vector<CompiledProgram>& out = compiled_tsps_[id];
+  out.clear();
+  for (const arch::StageProgram& program : pipeline_.tsp(id).programs()) {
+    CompiledProgram cp;
+    cp.source = &program;
+    if (exec_mode_ == arch::ExecMode::kSpecialize) {
+      ++stage_compiles_;
+      auto compiled = arch::CompileStage(program, catalog_, actions_,
+                                         registry_, metadata_proto_);
+      if (compiled.ok()) {
+        cp.uses_registers = compiled->uses_registers;
+        cp.compiled = std::move(compiled).value();
+      }
+    }
+    if (!cp.compiled.has_value()) {
+      cp.uses_registers = arch::StageMayUseRegisters(program, actions_);
+    }
+    out.push_back(std::move(cp));
+  }
+  compiled_versions_[id] = pipeline_.tsp(id).config_version();
+}
+
 void IpbmSwitch::EnsureCompiled() {
   CompiledKey key = CurrentKey();
   if (key == compiled_key_) return;
 
-  compiled_tsps_.clear();
-  compiled_tsps_.resize(pipeline_.tsp_count());
+  // A TSP whose compiled programs are still valid keeps them (the plan
+  // below points into them); the rest recompile. The registry version also
+  // moves on direct edits through headers(), so it is checked here.
+  const uint32_t tsps = pipeline_.tsp_count();
+  if (recompile_all_ || key.registry != compiled_key_.registry ||
+      compiled_tsps_.size() != tsps) {
+    compiled_tsps_.clear();
+    compiled_tsps_.resize(tsps);
+    compiled_versions_.assign(tsps, 0);
+    for (uint32_t id = 0; id < tsps; ++id) CompileTsp(id);
+  } else {
+    for (uint32_t id = 0; id < tsps; ++id) {
+      if (!TspStillCompiled(id)) CompileTsp(id);
+    }
+  }
+  changed_tables_.clear();
+  changed_actions_.clear();
+  recompile_all_ = false;
   stats_.interpreted_stages = 0;
-  for (uint32_t id = 0; id < pipeline_.tsp_count(); ++id) {
-    for (const arch::StageProgram& program : pipeline_.tsp(id).programs()) {
-      CompiledProgram cp;
-      cp.source = &program;
-      if (exec_mode_ == arch::ExecMode::kSpecialize) {
-        auto compiled = arch::CompileStage(program, catalog_, actions_,
-                                           registry_, metadata_proto_);
-        if (compiled.ok()) {
-          cp.uses_registers = compiled->uses_registers;
-          cp.compiled = std::move(compiled).value();
-        } else {
-          ++stats_.interpreted_stages;
-        }
+  if (exec_mode_ == arch::ExecMode::kSpecialize) {
+    for (const auto& programs : compiled_tsps_) {
+      for (const CompiledProgram& cp : programs) {
+        if (!cp.compiled.has_value()) ++stats_.interpreted_stages;
       }
-      if (!cp.compiled.has_value()) {
-        cp.uses_registers = arch::StageMayUseRegisters(program, actions_);
-      }
-      compiled_tsps_[id].push_back(std::move(cp));
     }
   }
 

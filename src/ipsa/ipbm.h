@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -156,6 +157,7 @@ class IpbmSwitch : private pisa::PacketWalk {
   void SetExecMode(arch::ExecMode mode) {
     if (exec_mode_ != mode) {
       exec_mode_ = mode;
+      recompile_all_ = true;
       BumpStructuralEpoch();
     }
   }
@@ -167,6 +169,9 @@ class IpbmSwitch : private pisa::PacketWalk {
   // Debug/test introspection: the plan for the current config state (forces
   // the lazy rebuild). Programs the interpreter runs are marked "(interp)".
   std::string PlanToString();
+  // Test introspection: stage programs resolved by the lazy rebuilds so
+  // far. A rebuild resolves only the TSPs an update touched.
+  uint64_t stage_compiles() const { return stage_compiles_; }
 
  private:
   // One stage program of one TSP, pre-resolved where possible. A program
@@ -203,8 +208,14 @@ class IpbmSwitch : private pisa::PacketWalk {
     config_epoch_.fetch_add(1, std::memory_order_relaxed);
   }
   CompiledKey CurrentKey() const;
-  // Recompiles every TSP's template if anything changed since the last call.
+  // If anything changed since the last call, recompiles the TSPs it touched
+  // (CompileTsp) and relowers the plan over all of them.
   void EnsureCompiled();
+  // Whether TSP `id`'s compiled programs are still valid: its template is
+  // the one they were compiled from, each compiled (an interpreter fallback
+  // is retried), and none names a table or action created or removed since.
+  bool TspStillCompiled(uint32_t id) const;
+  void CompileTsp(uint32_t id);
   // The per-packet pipeline walk (pisa::PacketWalk). EnsureCompiled() must
   // have run since the last configuration change.
   Result<telemetry::ProcessResult> ProcessCore(
@@ -240,6 +251,16 @@ class IpbmSwitch : private pisa::PacketWalk {
   arch::ExecMode exec_mode_ = arch::ExecMode::kSpecialize;
   CompiledKey compiled_key_;  // all-zero: never matches the first CurrentKey
   std::vector<std::vector<CompiledProgram>> compiled_tsps_;
+  // Each TSP's template version when its programs were compiled.
+  std::vector<uint64_t> compiled_versions_;
+  // What the CCM commands changed since the last rebuild that a compiled
+  // program can depend on: the names of tables created or destroyed and
+  // of actions added or removed. A change to the header registry or the
+  // metadata layout, or of the exec mode, recompiles every TSP instead.
+  std::set<std::string, std::less<>> changed_tables_;
+  std::set<std::string, std::less<>> changed_actions_;
+  bool recompile_all_ = true;
+  uint64_t stage_compiles_ = 0;
   // Straight-line execution plan over the active TSPs; points into
   // compiled_tsps_/the pipeline templates and is rebuilt with them.
   arch::PipelinePlan plan_;

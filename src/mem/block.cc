@@ -154,8 +154,12 @@ std::string BitString::ToHex() const {
 void Block::Release() {
   owner_ = kNoOwner;
   std::fill(valid_.begin(), valid_.end(), false);
-  for (auto& row : rows_) row.Zero();
-  for (auto& mask : masks_) mask.Zero();
+  // Rows past written_rows_ were never written, so they are still zero.
+  for (uint32_t r = 0; r < written_rows_; ++r) {
+    rows_[r].Zero();
+    if (!masks_.empty()) masks_[r].Zero();
+  }
+  written_rows_ = 0;
 }
 
 Status Block::WriteRow(uint32_t row, const BitString& value) {
@@ -164,6 +168,7 @@ Status Block::WriteRow(uint32_t row, const BitString& value) {
     return InvalidArgument("row value wider than block");
   }
   rows_[row].Assign(value);
+  written_rows_ = std::max(written_rows_, row + 1);
   valid_[row] = true;
   ++writes_;
   return OkStatus();
@@ -175,6 +180,7 @@ Status Block::WriteMask(uint32_t row, const BitString& mask) {
   }
   if (row >= depth_) return OutOfRange("block row out of range");
   masks_[row].Assign(mask);
+  written_rows_ = std::max(written_rows_, row + 1);
   ++writes_;
   return OkStatus();
 }

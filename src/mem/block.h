@@ -233,6 +233,7 @@ class Block {
         rows_(std::move(other.rows_)),
         masks_(std::move(other.masks_)),
         valid_(std::move(other.valid_)),
+        written_rows_(other.written_rows_),
         owner_(other.owner_),
         reads_(other.reads_.load(std::memory_order_relaxed)),
         writes_(other.writes_) {}
@@ -256,6 +257,9 @@ class Block {
   std::vector<BitString> rows_;
   std::vector<BitString> masks_;
   std::vector<bool> valid_;
+  // Rows [0, written_rows_) may hold non-zero bits (row or mask writes
+  // since the last Release); Release zeroes only those.
+  uint32_t written_rows_ = 0;
   uint32_t owner_ = kNoOwner;
   mutable std::atomic<uint64_t> reads_{0};
   uint64_t writes_ = 0;

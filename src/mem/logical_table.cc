@@ -34,6 +34,10 @@ Status LogicalTable::WriteRow(Pool& pool, uint32_t row,
     return InvalidArgument("row value wider than logical table");
   }
   RowLoc loc = Locate(row);
+  if (cols_ == 1) {
+    // The whole row is one block row; the block zero-extends it.
+    return pool.block(BlockAt(loc.block_row, 0)).WriteRow(loc.local_row, value);
+  }
   for (uint32_t c = 0; c < cols_; ++c) {
     uint32_t lo = c * block_width_;
     uint32_t span = std::min(block_width_, width_ - lo);
@@ -77,9 +81,16 @@ void LogicalTable::ChargeReads(const Pool& pool, uint32_t block_row,
 }
 
 Result<BitString> LogicalTable::PeekRow(const Pool& pool, uint32_t row) const {
+  BitString out;
+  IPSA_RETURN_IF_ERROR(PeekRowInto(pool, row, out));
+  return out;
+}
+
+Status LogicalTable::PeekRowInto(const Pool& pool, uint32_t row,
+                                 BitString& out) const {
   if (row >= depth_) return OutOfRange("logical row out of range");
   RowLoc loc = Locate(row);
-  BitString out(width_);
+  out.Resize(width_);
   for (uint32_t c = 0; c < cols_; ++c) {
     const BitString& piece =
         pool.block(BlockAt(loc.block_row, c)).PeekRow(loc.local_row);
@@ -87,7 +98,7 @@ Result<BitString> LogicalTable::PeekRow(const Pool& pool, uint32_t row) const {
     uint32_t span = std::min(block_width_, width_ - lo);
     out.SetBitsFrom(lo, piece, 0, span);
   }
-  return out;
+  return OkStatus();
 }
 
 BitString LogicalTable::ReadMask(const Pool& pool, uint32_t row) const {

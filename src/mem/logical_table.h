@@ -48,6 +48,8 @@ class LogicalTable {
   // cache refreshes after control-plane writes, which model index
   // maintenance rather than a data-path access.
   Result<BitString> PeekRow(const Pool& pool, uint32_t row) const;
+  // PeekRow into `out`, reusing its capacity.
+  Status PeekRowInto(const Pool& pool, uint32_t row, BitString& out) const;
   bool RowValid(const Pool& pool, uint32_t row) const;
   Status InvalidateRow(Pool& pool, uint32_t row);
 

@@ -134,13 +134,6 @@ Result<arch::DesignConfig> LowerToDesign(const Rp4Program& program) {
     design.registers.push_back(arch::RegisterDecl{r.name, r.size});
   }
 
-  // The widest action parameter block determines a table's action-data
-  // width when the table has no explicit action list.
-  uint32_t max_action_width = 0;
-  for (const auto& a : program.actions) {
-    max_action_width = std::max(max_action_width, a.ParamsWidthBits());
-  }
-
   for (const auto& t : program.tables) {
     arch::TableDecl decl;
     decl.spec.name = t.name;
@@ -157,28 +150,34 @@ Result<arch::DesignConfig> LowerToDesign(const Rp4Program& program) {
       decl.binding.key_fields.push_back(kf.field);
     }
     decl.spec.key_width_bits = key_width;
-    uint32_t action_width = 0;
-    if (!t.actions.empty()) {
-      for (const auto& name : t.actions) {
-        const arch::ActionDef* a = program.FindAction(name);
-        if (a == nullptr && name != "NoAction") {
-          return InvalidArgument("table '" + t.name +
-                                 "' references unknown action '" + name + "'");
-        }
-        if (a != nullptr) {
-          action_width = std::max(action_width, a->ParamsWidthBits());
-        }
-      }
-    } else {
-      action_width = max_action_width;
-    }
-    decl.spec.action_data_width_bits = std::max<uint32_t>(action_width, 8);
+    IPSA_ASSIGN_OR_RETURN(decl.spec.action_data_width_bits,
+                          TableActionDataWidth(program, t));
     design.tables.push_back(std::move(decl));
   }
 
   design.ingress_stages = program.ingress_stages;
   design.egress_stages = program.egress_stages;
   return design;
+}
+
+Result<uint32_t> TableActionDataWidth(const Rp4Program& program,
+                                      const Rp4TableDecl& table) {
+  uint32_t width = 0;
+  if (table.actions.empty()) {
+    // No action list: the widest action parameter block of the program.
+    for (const auto& a : program.actions) {
+      width = std::max(width, a.ParamsWidthBits());
+    }
+  }
+  for (const auto& name : table.actions) {
+    const arch::ActionDef* a = program.FindAction(name);
+    if (a == nullptr && name != "NoAction") {
+      return InvalidArgument("table '" + table.name +
+                             "' references unknown action '" + name + "'");
+    }
+    if (a != nullptr) width = std::max(width, a->ParamsWidthBits());
+  }
+  return std::max<uint32_t>(width, 8);
 }
 
 }  // namespace ipsa::rp4

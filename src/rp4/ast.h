@@ -95,4 +95,10 @@ struct Rp4Program {
 // Lowers a parsed program to the device-loadable design.
 Result<arch::DesignConfig> LowerToDesign(const Rp4Program& program);
 
+// The action-data width LowerToDesign gives `table`: its widest listed
+// action's parameters (every action of `program` when it lists none), at
+// least 8 bits. Fails when it lists an action `program` does not declare.
+Result<uint32_t> TableActionDataWidth(const Rp4Program& program,
+                                      const Rp4TableDecl& table);
+
 }  // namespace ipsa::rp4

@@ -1,20 +1,38 @@
 #include "rp4/lexer.h"
 
-#include <cctype>
-
 #include "util/strings.h"
 
 namespace ipsa::rp4 {
 
 namespace {
 
-// Multi-char punctuators, longest first.
-constexpr std::string_view kPuncts[] = {
+// Punctuators: every two-char one is tried before any single char.
+constexpr std::string_view kPuncts2[] = {
     "<<", ">>", "==", "!=", "<=", ">=", "&&", "||", "::",
-    "{",  "}",  "(",  ")",  "[",  "]",  ";",  ":",  ",",
-    ".",  "=",  "<",  ">",  "+",  "-",  "*",  "/",  "&",
-    "|",  "^",  "!",  "~",  "@",
 };
+constexpr std::string_view kPuncts1 = "{}()[];:,.=<>+-*/&|^!~@";
+
+// The C-locale <cctype> classes, without a library call per character.
+constexpr bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+constexpr bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool IsAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+constexpr bool IsAlnum(char c) { return IsAlpha(c) || IsDigit(c); }
+
+// The punctuator at the front of `rest`, or an empty view.
+std::string_view MatchPunct(std::string_view rest) {
+  if (rest.size() >= 2) {
+    for (std::string_view p : kPuncts2) {
+      if (rest[0] == p[0] && rest[1] == p[1]) return p;
+    }
+  }
+  const size_t at = kPuncts1.find(rest[0]);
+  return at == std::string_view::npos ? std::string_view{}
+                                      : kPuncts1.substr(at, 1);
+}
 
 }  // namespace
 
@@ -37,7 +55,7 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
 
   while (i < source.size()) {
     char c = source[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       advance(1);
       continue;
     }
@@ -62,35 +80,32 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
       }
     }
     // Identifiers / keywords.
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+    // A token never spans a newline, so it only moves the column.
+    if (IsAlpha(c) || c == '_') {
       size_t start = i;
       uint32_t tline = line, tcol = col;
-      while (i < source.size() &&
-             (std::isalnum(static_cast<unsigned char>(source[i])) ||
-              source[i] == '_')) {
-        advance(1);
+      while (i < source.size() && (IsAlnum(source[i]) || source[i] == '_')) {
+        ++i;
       }
-      tokens.push_back(Token{TokKind::kIdent,
-                             std::string(source.substr(start, i - start)), 0,
-                             tline, tcol});
+      col += static_cast<uint32_t>(i - start);
+      tokens.push_back(Token{TokKind::kIdent, source.substr(start, i - start),
+                             0, tline, tcol});
       continue;
     }
     // Numbers (decimal, hex, optional P4 `Nw`/`Ns` width prefix).
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    if (IsDigit(c)) {
       size_t start = i;
       uint32_t tline = line, tcol = col;
-      while (i < source.size() &&
-             (std::isalnum(static_cast<unsigned char>(source[i])))) {
-        advance(1);
-      }
-      std::string text(source.substr(start, i - start));
+      while (i < source.size() && IsAlnum(source[i])) ++i;
+      col += static_cast<uint32_t>(i - start);
+      const std::string_view text = source.substr(start, i - start);
       // Strip a width prefix like "8w" or "16s".
-      std::string value_text = text;
+      std::string_view value_text = text;
       for (size_t w = 0; w < text.size(); ++w) {
         if (text[w] == 'w' || text[w] == 's') {
           bool all_digits = w > 0;
           for (size_t d = 0; d < w; ++d) {
-            if (!std::isdigit(static_cast<unsigned char>(text[d]))) {
+            if (!IsDigit(text[d])) {
               all_digits = false;
               break;
             }
@@ -104,14 +119,14 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
           (value_text[1] == 'x' || value_text[1] == 'X')) {
         auto parsed = util::ParseUint(value_text);
         if (!parsed) {
-          return InvalidArgument("bad hex literal '" + text + "' at line " +
-                                 std::to_string(tline));
+          return InvalidArgument("bad hex literal '" + std::string(text) +
+                                 "' at line " + std::to_string(tline));
         }
         value = *parsed;
       } else {
         auto parsed = util::ParseUint(value_text);
         if (!parsed) {
-          return InvalidArgument("bad numeric literal '" + text +
+          return InvalidArgument("bad numeric literal '" + std::string(text) +
                                  "' at line " + std::to_string(tline));
         }
         value = *parsed;
@@ -120,22 +135,16 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
       continue;
     }
     // Punctuators.
-    bool matched = false;
-    for (std::string_view p : kPuncts) {
-      if (source.substr(i, p.size()) == p) {
-        tokens.push_back(
-            Token{TokKind::kPunct, std::string(p), 0, line, col});
-        advance(p.size());
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) {
+    if (std::string_view p = MatchPunct(source.substr(i)); !p.empty()) {
+      tokens.push_back(Token{TokKind::kPunct, p, 0, line, col});
+      i += p.size();
+      col += static_cast<uint32_t>(p.size());
+    } else {
       return InvalidArgument(std::string("unexpected character '") + c +
                              "' at line " + std::to_string(line));
     }
   }
-  tokens.push_back(Token{TokKind::kEof, "", 0, line, col});
+  tokens.push_back(Token{TokKind::kEof, {}, 0, line, col});
   return tokens;
 }
 
@@ -170,7 +179,7 @@ Result<std::string> TokenCursor::ExpectIdent() {
   if (Peek().kind != TokKind::kIdent) {
     return ErrorHere("expected identifier");
   }
-  return Next().text;
+  return std::string(Next().text);
 }
 
 Result<uint64_t> TokenCursor::ExpectNumber() {
@@ -184,7 +193,8 @@ Status TokenCursor::ErrorHere(const std::string& message) const {
   const Token& t = Peek();
   return InvalidArgument(message + " at line " + std::to_string(t.line) +
                          ":" + std::to_string(t.col) + " (got '" +
-                         (t.kind == TokKind::kEof ? "<eof>" : t.text) + "')");
+                         std::string(t.kind == TokKind::kEof ? "<eof>" : t.text) +
+                         "')");
 }
 
 }  // namespace ipsa::rp4

@@ -17,9 +17,11 @@ enum class TokKind {
   kEof,
 };
 
+// A token's text is a view into the source it was cut from, which must
+// outlive the token (the parsers tokenize and parse inside one call).
 struct Token {
   TokKind kind = TokKind::kEof;
-  std::string text;
+  std::string_view text;
   uint64_t number = 0;  // valid for kNumber
   uint32_t line = 0;
   uint32_t col = 0;

@@ -40,8 +40,9 @@ namespace ipsa::table::rcu {
 class Domain {
  public:
   // Reader slots are claimed per thread on first use and released at thread
-  // exit. Threads beyond the fixed capacity fall back to a shared overflow
-  // count that simply defers all reclamation while any of them is pinned.
+  // exit, so a Domain must outlive every thread that pinned it. Threads
+  // beyond the fixed capacity fall back to a shared overflow count that
+  // simply defers all reclamation while any of them is pinned.
   static constexpr size_t kMaxReaders = 128;
   static constexpr uint64_t kIdle = 0;
 
@@ -54,7 +55,10 @@ class Domain {
   // Unpin(), no view retired at or after this moment is freed. Pins nest:
   // only the outermost Pin publishes the epoch (two atomic stores plus an
   // epoch re-check) and only the outermost Unpin releases the slot; inner
-  // pairs just move the thread's depth counter, inline. No allocation after
+  // pairs just move the thread's depth counter, inline for the first domain
+  // the thread pinned. Pins on distinct domains are independent: a thread
+  // keeps one slot lease and one depth per domain, so it may hold pins on
+  // two domains at once and release them in any order. No allocation after
   // the thread's first call.
   void Pin() {
     if (reader_.depth > 0 && reader_.domain == this) {
@@ -94,7 +98,8 @@ class Domain {
   void RetireRaw(void* p, void (*deleter)(void*));
 
   // Advances the epoch and frees every retired view whose grace period has
-  // elapsed. Called after each publication; O(kMaxReaders) loads.
+  // elapsed. Called after each publication; one load per reader slot ever
+  // claimed (the high-water mark), not per slot of the fixed capacity.
   void Synchronize();
 
   // Number of retired-but-not-yet-freed views (tests).
@@ -108,15 +113,18 @@ class Domain {
     std::atomic<bool> claimed{false};
   };
 
-  // The calling thread's reader state: the slot it leases in `domain` and
-  // the nesting depth of its pins there (0 = not pinned). Only the owning
-  // thread touches it, so it needs no atomicity. Value-initialized (all
-  // zero) for every new thread.
+  // One thread's lease in one domain: the slot it holds there and the
+  // nesting depth of its pins (0 = not pinned). Only the owning thread
+  // touches it, so it needs no atomicity.
   struct Reader {
     Domain* domain;
     Slot* slot;
     uint32_t depth;
   };
+  // The lease in the first domain the calling thread pinned (in practice
+  // Global()): plain thread-local data, so the nested Pin/Unpin above stay
+  // inline. Leases in further domains live out of line (rcu.cc).
+  // Value-initialized (all zero) for every new thread.
   static inline constinit thread_local Reader reader_{};
 
   static Domain global_;
@@ -127,16 +135,25 @@ class Domain {
     uint64_t epoch;  // value of epoch_ when retired
   };
 
-  // The out-of-line halves of Pin/Unpin: claim the slot and publish or
-  // release the epoch.
+  // The out-of-line halves of Pin/Unpin: find the calling thread's lease
+  // in this domain, claim its slot and publish or release the epoch.
   void PinOutermost();
   void UnpinOutermost();
-  Slot* ClaimSlot();
-  friend struct SlotLease;
+  // The calling thread's lease in this domain. With `create`, a thread
+  // without one gets a new one (null only when it already leases in too
+  // many domains); without it, null when it has none.
+  Reader* LeaseFor(bool create);
+  // Claims a free slot for `lease`; null when every slot is claimed.
+  Slot* ClaimSlot(Reader& lease);
+  friend struct SlotLeases;
 
   // Epoch starts above kIdle so an idle slot can never alias a real pin.
   std::atomic<uint64_t> epoch_{1};
   Slot slots_[kMaxReaders];
+  // Slots [0, claimed_high_) have been claimed at some point; Synchronize
+  // scans only those. Raised (seq_cst) before a new slot's first pin is
+  // published, never lowered.
+  std::atomic<size_t> claimed_high_{0};
   // Readers that arrived after every slot was claimed: while any is pinned,
   // reclamation is deferred wholesale.
   std::atomic<uint64_t> overflow_pins_{0};

@@ -6,11 +6,13 @@
 // bucket while distinct flows spread across them. The controller programs
 // buckets with `Entry.key` = bucket index.
 //
-// Concurrency: the writer keeps the decoded members (bucket row + action)
-// in bucket order, decoding a member once when it is written. Publish()
-// copies them into an immutable View (selector groups are small — a full
-// snapshot per publish is cheap) and stores it through Published<View>;
-// lookups read it under an RCU epoch pin, so a member add/remove swaps the
+// Concurrency: each member (bucket row + decoded action) is immutable once
+// written and lives on its own; the writer keeps pointers to them in bucket
+// order. Publish() copies only those pointers into an immutable View and
+// stores it through Published<View>, so a write costs the same whether the
+// group holds 4 members or 4096; a member an upsert or erase replaced is
+// retired through RCU once the view that dropped it is published. Lookups
+// read the view under an RCU epoch pin, so a member add/remove swaps the
 // whole group atomically and a flow never hashes into a half-updated member
 // set. Inside a batch, lookups keep the pre-batch group until EndBatch.
 #pragma once
@@ -25,6 +27,7 @@ class SelectorTable : public MatchTable {
  public:
   SelectorTable(TableSpec spec, mem::Pool& pool, mem::LogicalTable storage)
       : MatchTable(std::move(spec), pool, std::move(storage)) {}
+  ~SelectorTable() override;
 
   // Hashes `key` over the populated buckets.
   void LookupInto(const mem::BitString& key, LookupResult& out) const override;
@@ -48,15 +51,19 @@ class SelectorTable : public MatchTable {
     CachedAction action;
   };
   struct View {
-    std::vector<Member> members;  // ascending bucket order
+    std::vector<const Member*> members;  // ascending bucket order
   };
 
   // The member at bucket `row`, or where it would be inserted.
-  std::vector<Member>::iterator LowerBound(uint32_t row);
+  std::vector<const Member*>::iterator LowerBound(uint32_t row);
 
-  // Writer-side members, ascending bucket order; lookups use the published
-  // copy.
-  std::vector<Member> members_;
+  // Writer-side members, ascending bucket order, owned here; a publish
+  // copies these pointers into the view.
+  std::vector<const Member*> members_;
+  // Members replaced or erased since the last publish, owned here: the live
+  // view may still point at them, so they are retired only after it is
+  // replaced.
+  std::vector<const Member*> dropped_;
   Published<View> view_;
 };
 

@@ -151,12 +151,14 @@ void LookupTally::Flush() {
 CachedAction MatchTable::DecodeRow(uint32_t row) const {
   CachedAction a;
   a.block_row = storage_.BlockRowOf(row);
-  auto bits = storage_.PeekRow(*pool_, row);
-  if (!bits.ok()) return a;
+  // One row buffer per writer thread, its capacity reused: decoding a
+  // written row allocates nothing.
+  thread_local mem::BitString bits;
+  if (!storage_.PeekRowInto(*pool_, row, bits).ok()) return a;
   a.action_id =
-      static_cast<uint32_t>(bits->GetBits(spec_.key_width_bits + 8, 16));
-  bits->SliceInto(spec_.key_width_bits + 8 + 16, spec_.action_data_width_bits,
-                  a.action_data);
+      static_cast<uint32_t>(bits.GetBits(spec_.key_width_bits + 8, 16));
+  bits.SliceInto(spec_.key_width_bits + 8 + 16, spec_.action_data_width_bits,
+                 a.action_data);
   return a;
 }
 

@@ -21,6 +21,7 @@
 #include "daemon/backends.h"
 #include "net/packet_builder.h"
 #include "table/table.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace ipsa {
@@ -181,6 +182,96 @@ TEST(TableChurnTest, TernaryOldOrNewNeverTorn) {
 
 TEST(TableChurnTest, SelectorOldOrNewNeverTorn) {
   RunTableChurn(table::MatchKind::kSelector, 48, 16, 64, 12000);
+}
+
+// A selector group grown from 0 to 64 members by single writes and shrunk
+// back by single erases, under concurrent readers. Members are published as
+// pointers to immutable decoded members, so this checks that a reader only
+// ever sees a whole group that existed: growing from bucket 0 makes groups
+// {0..n-1}, shrinking from bucket 0 makes groups {j..63}, and a flow whose
+// key hashes to h picks position h % size of its group. Every hit must be
+// that pick for one of those groups, and carry its own bucket's payload.
+TEST(TableChurnTest, SelectorGroupGrowsAndShrinksByWholeGroups) {
+  constexpr uint32_t kMembers = 64;
+  constexpr uint32_t kKeyWidth = 48;
+  constexpr int kCycles = 30;
+  mem::PoolConfig cfg;
+  cfg.sram_blocks = 8;
+  cfg.sram_width_bits = 128;
+  cfg.sram_depth = 256;
+  mem::Pool pool(cfg);
+  table::TableSpec spec;
+  spec.name = "grow";
+  spec.match_kind = table::MatchKind::kSelector;
+  spec.key_width_bits = kKeyWidth;
+  spec.action_data_width_bits = 32;
+  spec.size = kMembers;
+  auto created = table::CreateTable(spec, pool, 1);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  table::MatchTable& t = **created;
+
+  auto existed = [](uint32_t h, uint32_t bucket) {
+    for (uint32_t n = bucket + 1; n <= kMembers; ++n) {
+      if (h % n == bucket) return true;  // grow group {0..n-1}
+    }
+    for (uint32_t j = 0; j <= bucket; ++j) {
+      if (j + h % (kMembers - j) == bucket) return true;  // shrink {j..63}
+    }
+    return false;
+  };
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> hits{0};
+  ChurnFailure failure;
+  auto reader = [&](uint64_t seed) {
+    util::Rng rng(seed);
+    table::LookupResult r;
+    mem::BitString key;
+    while (!done.load(std::memory_order_acquire) &&
+           !failure.failed.load(std::memory_order_relaxed)) {
+      key = mem::BitString(kKeyWidth, rng.Next());
+      t.LookupInto(key, r);
+      if (!r.hit) continue;  // the empty group between cycles
+      hits.fetch_add(1, std::memory_order_relaxed);
+      const uint32_t tag_bucket =
+          static_cast<uint32_t>(r.action_data.ToUint64() >> 16);
+      const uint32_t h = util::Crc32(key.bytes());
+      if (r.action_id != 1 || tag_bucket != r.row || r.row >= kMembers) {
+        failure.Record("member at bucket " + std::to_string(r.row) +
+                       " carries bucket " + std::to_string(tag_bucket) +
+                       "'s payload");
+      } else if (!existed(h, r.row)) {
+        failure.Record("hash " + std::to_string(h) + " picked bucket " +
+                       std::to_string(r.row) + ", in no group that existed");
+      }
+    }
+  };
+  std::thread r1(reader, 0x6120ull);
+  std::thread r2(reader, 0x5112ull);
+
+  // At least kCycles, and on until the readers have seen a fair number of
+  // hits (bounded, so a starved reader cannot stall the test).
+  for (int cycle = 0;
+       (cycle < kCycles || hits.load(std::memory_order_relaxed) < 2000) &&
+       cycle < 100 * kCycles && !failure.failed.load(std::memory_order_relaxed);
+       ++cycle) {
+    const auto version = static_cast<uint32_t>(cycle);
+    for (uint32_t b = 0; b < kMembers; ++b) {
+      ASSERT_TRUE(t.Insert(ChurnEntry(table::MatchKind::kSelector, kKeyWidth,
+                                      b, version))
+                      .ok());
+    }
+    for (uint32_t b = 0; b < kMembers; ++b) {
+      ASSERT_TRUE(t.Erase(ChurnEntry(table::MatchKind::kSelector, kKeyWidth,
+                                     b, 0))
+                      .ok());
+    }
+  }
+  done.store(true, std::memory_order_release);
+  r1.join();
+  r2.join();
+  ASSERT_FALSE(failure.failed.load()) << failure.detail;
+  EXPECT_EQ(t.entry_count(), 0u);
 }
 
 // Batch visibility under concurrent readers. Each round the writer opens a

@@ -373,6 +373,40 @@ TEST_F(UpdateTest, EcmpThenRemoveRoundTrips) {
   EXPECT_EQ(destroys, 2);
 }
 
+// An update lowers its program once and takes what it destroys out of that
+// design; the result must equal lowering the updated program afresh, for
+// every use case's insert and remove.
+TEST_F(UpdateTest, UpdatedDesignEqualsLoweringTheUpdatedProgram) {
+  const std::pair<std::string, std::string> cases[] = {
+      {controller::designs::EcmpScript(),
+       controller::designs::EcmpRemoveScript()},
+      {controller::designs::Srv6Script(), "remove --func_name srv6\n"},
+      {controller::designs::ProbeScript(),
+       controller::designs::ProbeRemoveScript()},
+  };
+  for (const auto& [insert, remove] : cases) {
+    SCOPED_TRACE(insert);
+    auto load = Request(insert);
+    ASSERT_TRUE(load.ok()) << load.status().ToString();
+    auto plan = CompileUpdate(program_, layout_, *load, options_);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto relowered = rp4::LowerToDesign(plan->updated_program);
+    ASSERT_TRUE(relowered.ok());
+    EXPECT_EQ(plan->updated_design.ToJson().Dump(),
+              relowered->ToJson().Dump());
+
+    auto unload = Request(remove);
+    ASSERT_TRUE(unload.ok()) << unload.status().ToString();
+    auto plan2 = CompileUpdate(plan->updated_program, plan->updated_layout,
+                               *unload, options_);
+    ASSERT_TRUE(plan2.ok()) << plan2.status().ToString();
+    auto relowered2 = rp4::LowerToDesign(plan2->updated_program);
+    ASSERT_TRUE(relowered2.ok());
+    EXPECT_EQ(plan2->updated_design.ToJson().Dump(),
+              relowered2->ToJson().Dump());
+  }
+}
+
 TEST_F(UpdateTest, Srv6PlanAddsHeaderAndLinks) {
   auto request = Request(controller::designs::Srv6Script());
   ASSERT_TRUE(request.ok());

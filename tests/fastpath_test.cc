@@ -13,6 +13,7 @@
 //     the pipeline and forces a full recompile of the TSP fast path).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <span>
 #include <type_traits>
@@ -21,6 +22,8 @@
 #include "arch/context.h"
 #include "arch/stage.h"
 #include "bench/common.h"
+#include "controller/baseline.h"
+#include "controller/designs.h"
 #include "ipsa/ipbm.h"
 #include "pisa/pisa_switch.h"
 #include "net/packet_builder.h"
@@ -844,6 +847,153 @@ TEST(CycleLedger, PlanMatchesHandComputedCycles) {
                     .ok());
     CheckLedger(dev, 12, 8);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Partial rebuilds after in-situ updates
+// ---------------------------------------------------------------------------
+
+// FNV-1a over each packet's bytes and its verdict.
+uint64_t TxDigest(const std::vector<net::Packet>& packets,
+                  const std::vector<telemetry::ProcessResult>& results) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ull;
+  };
+  for (size_t i = 0; i < packets.size(); ++i) {
+    mix(results[i].dropped ? ~uint64_t{0} : results[i].egress_port);
+    for (uint8_t b : packets[i].bytes()) mix(b);
+  }
+  return h;
+}
+
+// After an update, `partial`'s lazy rebuild recompiles only the TSPs the
+// update touched. Flipping `full`'s exec mode (it took the same updates)
+// forces it to recompile every TSP. Both must then print the same plan and
+// forward the same traffic to the same bytes. Returns the stage compiles
+// of the partial and of the full rebuild.
+std::pair<uint64_t, uint64_t> ExpectPartialRebuildMatchesFull(
+    bench::Rp4Setup& partial, bench::Rp4Setup& full, UseCase traffic) {
+  const uint64_t p0 = partial.device->stage_compiles();
+  const std::string plan = partial.device->PlanToString();
+  const uint64_t partial_compiles = partial.device->stage_compiles() - p0;
+  full.device->SetExecMode(arch::ExecMode::kInterpret);
+  full.device->SetExecMode(arch::ExecMode::kSpecialize);
+  const uint64_t f0 = full.device->stage_compiles();
+  EXPECT_EQ(plan, full.device->PlanToString());
+  const uint64_t full_compiles = full.device->stage_compiles() - f0;
+  EXPECT_LE(partial_compiles, full_compiles);
+
+  std::vector<net::Packet> a = MakeWorkloadPackets(traffic);
+  std::vector<net::Packet> b = a;
+  auto ra = partial.device->ProcessBatch(std::span(a), 1);
+  auto rb = full.device->ProcessBatch(std::span(b), 1);
+  EXPECT_TRUE(ra.ok() && rb.ok());
+  if (ra.ok() && rb.ok()) {
+    EXPECT_EQ(TxDigest(a, *ra), TxDigest(b, *rb));
+  }
+  return {partial_compiles, full_compiles};
+}
+
+// Each use case from a fresh base design: the removes do not restore the
+// stages the inserts replaced, so the use cases do not chain.
+TEST(PartialRebuildTest, UseCaseInsertAndRemoveMatchFullRebuild) {
+  struct Step {
+    UseCase uc;
+    std::string insert;
+    std::string remove;
+  };
+  const Step steps[] = {
+      {UseCase::kEcmp, controller::designs::EcmpScript(),
+       controller::designs::EcmpRemoveScript()},
+      {UseCase::kSrv6, controller::designs::Srv6Script(),
+       "remove --func_name srv6\n"},
+      {UseCase::kProbe, controller::designs::ProbeScript(),
+       controller::designs::ProbeRemoveScript()},
+  };
+  for (const Step& step : steps) {
+    SCOPED_TRACE(UseCaseName(step.uc));
+    auto partial = MakeRp4Setup(UseCase::kBase);
+    auto full = MakeRp4Setup(UseCase::kBase);
+    ASSERT_TRUE(partial.ok() && full.ok());
+    ExpectPartialRebuildMatchesFull(*partial, *full, UseCase::kBase);
+    for (bench::Rp4Setup* s : {&*partial, &*full}) {
+      auto t = s->controller->ApplyScript(step.insert,
+                                          controller::designs::ResolveSnippet);
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      auto add = [s](const std::string& table, const table::Entry& e) {
+        return s->controller->AddEntry(table, e);
+      };
+      const compiler::ApiSpec& api = s->controller->api();
+      Status populated = OkStatus();
+      if (step.uc == UseCase::kEcmp) {
+        populated = controller::PopulateEcmp(api, add, s->config);
+      } else if (step.uc == UseCase::kSrv6) {
+        populated = controller::PopulateSrv6(api, add, s->config);
+      } else {
+        net::Workload workload(WorkloadFor(UseCase::kProbe));
+        populated = controller::PopulateProbe(api, add, workload, 32, 4);
+      }
+      ASSERT_TRUE(populated.ok()) << populated.ToString();
+    }
+    auto [inserted, inserted_full] =
+        ExpectPartialRebuildMatchesFull(*partial, *full, step.uc);
+    for (bench::Rp4Setup* s : {&*partial, &*full}) {
+      auto t = s->controller->ApplyScript(step.remove,
+                                          controller::designs::ResolveSnippet);
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+    }
+    auto [removed, removed_full] =
+        ExpectPartialRebuildMatchesFull(*partial, *full, step.uc);
+    if (step.uc == UseCase::kEcmp) {
+      // C1 writes no header or metadata: both of its rebuilds reuse TSPs.
+      EXPECT_LT(inserted, inserted_full);
+      EXPECT_LT(removed, removed_full);
+    }
+  }
+}
+
+// No template is rewritten here, so only name tracking can tell which TSPs
+// must recompile: the one whose stage runs the replaced action (set_port,
+// now a no-op) and the one whose stage applies the replaced, now empty,
+// table (dmac). Keeping either TSP's compiled programs would forward with
+// the old action body or look up the destroyed table.
+TEST(PartialRebuildTest, ReplacedActionAndTableRecompileTheTspsUsingThem) {
+  auto partial = MakeRp4Setup(UseCase::kBase);
+  auto full = MakeRp4Setup(UseCase::kBase);
+  ASSERT_TRUE(partial.ok() && full.ok());
+  ExpectPartialRebuildMatchesFull(*partial, *full, UseCase::kBase);
+
+  const arch::DesignConfig& design = partial->controller->design();
+  auto action = std::find_if(
+      design.actions.begin(), design.actions.end(),
+      [](const arch::ActionDef& a) { return a.name == "set_port"; });
+  auto table = std::find_if(
+      design.tables.begin(), design.tables.end(),
+      [](const arch::TableDecl& t) { return t.spec.name == "dmac"; });
+  ASSERT_NE(action, design.actions.end());
+  ASSERT_NE(table, design.tables.end());
+  arch::ActionDef noop = *action;
+  noop.body.clear();
+  const arch::TableDecl empty = *table;
+  for (bench::Rp4Setup* s : {&*partial, &*full}) {
+    ASSERT_TRUE(s->device->RemoveAction("set_port").ok());
+    ASSERT_TRUE(s->device->AddAction(noop).ok());
+  }
+  auto [replaced_action, full_action] =
+      ExpectPartialRebuildMatchesFull(*partial, *full, UseCase::kBase);
+  EXPECT_GT(replaced_action, 0u);
+  EXPECT_LT(replaced_action, full_action);
+
+  for (bench::Rp4Setup* s : {&*partial, &*full}) {
+    ASSERT_TRUE(s->device->DestroyTable("dmac").ok());
+    ASSERT_TRUE(s->device->CreateTable(empty).ok());
+  }
+  auto [replaced_table, full_table] =
+      ExpectPartialRebuildMatchesFull(*partial, *full, UseCase::kBase);
+  EXPECT_GT(replaced_table, 0u);
+  EXPECT_LT(replaced_table, full_table);
 }
 
 }  // namespace

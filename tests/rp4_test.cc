@@ -27,7 +27,7 @@ TEST(LexerTest, CommentsStripped) {
   ASSERT_TRUE(tokens.ok());
   std::vector<std::string> idents;
   for (const auto& t : *tokens) {
-    if (t.kind == TokKind::kIdent) idents.push_back(t.text);
+    if (t.kind == TokKind::kIdent) idents.emplace_back(t.text);
   }
   EXPECT_EQ(idents, (std::vector<std::string>{"a", "b", "c"}));
 }

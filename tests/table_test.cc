@@ -1173,5 +1173,40 @@ TEST(RcuDomainTest, NestedPinsReleaseAtTheOutermostUnpin) {
   EXPECT_TRUE(under_outer);
 }
 
+// A thread holds one lease per domain: pinning a second domain while a pin
+// on the first is held must not take over the first domain's lease, so each
+// Unpin releases its own domain's slot and both domains reclaim, whichever
+// order the pins end in. (Static domains: a domain must outlive the threads
+// that pinned it.)
+TEST(RcuDomainTest, PinsOnTwoDomainsEachReleaseTheirOwnSlot) {
+  static rcu::Domain first;
+  static rcu::Domain second;
+  for (bool first_out_first : {false, true}) {
+    bool freed_first = false;
+    bool freed_second = false;
+    first.Pin();
+    second.Pin();
+    first.Retire(new RetireProbe{&freed_first});
+    second.Retire(new RetireProbe{&freed_second});
+    first.Synchronize();
+    second.Synchronize();
+    EXPECT_FALSE(freed_first) << "a pinned domain reclaimed";
+    EXPECT_FALSE(freed_second) << "a pinned domain reclaimed";
+    if (first_out_first) {
+      first.Unpin();
+      second.Unpin();
+    } else {
+      second.Unpin();
+      first.Unpin();
+    }
+    first.Synchronize();
+    second.Synchronize();
+    EXPECT_TRUE(freed_first) << "first domain did not reclaim after unpins";
+    EXPECT_TRUE(freed_second) << "second domain did not reclaim after unpins";
+    EXPECT_EQ(first.pending(), 0u);
+    EXPECT_EQ(second.pending(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace ipsa::table

@@ -4,6 +4,7 @@
 #include "util/clock.h"
 #include "util/hash.h"
 #include "util/json.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
@@ -290,6 +291,44 @@ TEST(ClockTest, SimClockAdvances) {
   clock.Advance(200);
   EXPECT_EQ(clock.cycles(), 200u);
   EXPECT_DOUBLE_EQ(clock.SecondsAt(200e6), 1e-6);
+}
+
+// --- logging -----------------------------------------------------------------
+
+// A log line below the threshold evaluates none of its operands (and so
+// builds no stream); one at or above it evaluates each exactly once.
+TEST(LoggingTest, DisabledLogDoesNotEvaluateItsOperands) {
+  const util::LogLevel saved = util::GetLogLevel();
+  int evaluated = 0;
+  auto operand = [&evaluated] {
+    ++evaluated;
+    return std::string("operand");
+  };
+
+  util::SetLogLevel(util::LogLevel::kWarning);
+  IPSA_LOG(kDebug) << operand();
+  IPSA_LOG(kInfo) << operand() << operand();
+  EXPECT_EQ(evaluated, 0);
+
+  util::SetLogLevel(util::LogLevel::kOff);
+  IPSA_LOG(kError) << operand();
+  EXPECT_EQ(evaluated, 0);
+
+  // An if/else around the macro still binds as written.
+  if (evaluated == 0)
+    IPSA_LOG(kDebug) << operand();
+  else
+    ++evaluated;
+  EXPECT_EQ(evaluated, 0);
+
+  util::SetLogLevel(util::LogLevel::kDebug);
+  testing::internal::CaptureStderr();
+  IPSA_LOG(kInfo) << operand() << " " << 7;
+  const std::string line = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(evaluated, 1);
+  EXPECT_EQ(line, "[INFO] operand 7\n");
+
+  util::SetLogLevel(saved);
 }
 
 }  // namespace
