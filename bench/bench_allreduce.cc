@@ -24,6 +24,7 @@
 #include <string>
 
 #include "arch/actions.h"
+#include "bench/report_context.h"
 #include "controller/designs.h"
 #include "fabric/allreduce.h"
 #include "fabric/leaf_spine.h"
@@ -161,11 +162,7 @@ int Main(int argc, char** argv) {
   util::Json report = util::Json::Object();
   report["benchmark"] = "allreduce";
   report["mode"] = smoke ? "smoke" : "full";
-#ifdef NDEBUG
-  report["ipsa_build_type"] = "release";
-#else
-  report["ipsa_build_type"] = "debug";
-#endif
+  AddReportContext(report);
   report["leaves"] = options.leaves;
   report["spines"] = options.spines;
   report["hosts_per_leaf"] = options.hosts_per_leaf;

@@ -25,6 +25,7 @@
 #include <fstream>
 #include <string>
 
+#include "bench/report_context.h"
 #include "controller/designs.h"
 #include "fabric/leaf_spine.h"
 #include "fabric/upgrade.h"
@@ -180,11 +181,7 @@ int Main(int argc, char** argv) {
   util::Json report = util::Json::Object();
   report["benchmark"] = "fabric";
   report["mode"] = smoke ? "smoke" : "full";
-#ifdef NDEBUG
-  report["ipsa_build_type"] = "release";
-#else
-  report["ipsa_build_type"] = "debug";
-#endif
+  AddReportContext(report);
   report["leaves"] = options.leaves;
   report["spines"] = options.spines;
   report["hosts_per_leaf"] = options.hosts_per_leaf;

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/report_context.h"
 #include "controller/baseline.h"
 #include "controller/designs.h"
 #include "controller/runtime_api.h"
@@ -409,11 +410,7 @@ int Main(int argc, char** argv) {
   util::Json report = util::Json::Object();
   report["benchmark"] = "reactor";
   report["mode"] = smoke ? "smoke" : "full";
-#ifdef NDEBUG
-  report["ipsa_build_type"] = "release";
-#else
-  report["ipsa_build_type"] = "debug";
-#endif
+  AddReportContext(report);
   report["cycles"] = cycles;
   report["failover"] = FiguresJson(*failover);
   report["rebalance"] = FiguresJson(*rebalance);

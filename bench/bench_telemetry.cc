@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "bench/report_context.h"
 #include "telemetry/collector.h"
 #include "util/json.h"
 
@@ -178,6 +179,7 @@ int Main(int argc, char** argv) {
   util::Json report = util::Json::Object();
   report["benchmark"] = "telemetry_overhead";
   report["mode"] = smoke ? "smoke" : "full";
+  AddReportContext(report);
   report["batch_size"] = kBatchSize;
   report["iterations_per_round"] = iters;
   report["rounds"] = rounds;

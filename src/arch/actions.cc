@@ -87,37 +87,6 @@ ActionOp ActionOp::If(ExprPtr cond, std::vector<ActionOp> then_ops,
   return op;
 }
 
-std::map<std::string, mem::BitString> BindActionArgs(
-    const ActionDef& action, const mem::BitString& args_data) {
-  std::map<std::string, mem::BitString> bound;
-  size_t offset = 0;
-  for (const ActionParam& p : action.params) {
-    if (offset + p.width_bits <= args_data.bit_width()) {
-      bound[p.name] = args_data.Slice(offset, p.width_bits);
-    } else {
-      bound[p.name] = mem::BitString(p.width_bits);  // zero-fill when short
-    }
-    offset += p.width_bits;
-  }
-  return bound;
-}
-
-mem::BitString PackActionArgs(const ActionDef& action,
-                              const std::vector<mem::BitString>& values) {
-  mem::BitString out(action.ParamsWidthBits());
-  size_t offset = 0;
-  for (size_t i = 0; i < action.params.size(); ++i) {
-    uint32_t w = action.params[i].width_bits;
-    if (i < values.size()) {
-      for (uint32_t bit = 0; bit < w && bit < values[i].bit_width(); ++bit) {
-        out.SetBit(offset + bit, values[i].GetBit(bit));
-      }
-    }
-    offset += w;
-  }
-  return out;
-}
-
 namespace {
 
 Status ExecuteOne(const ActionOp& op, const EvalEnv& env) {

@@ -83,15 +83,6 @@ struct ActionDef {
   }
 };
 
-// Binds `args_data` (the table entry's action_data, params packed low-bits-
-// first in declaration order) to named parameters.
-std::map<std::string, mem::BitString> BindActionArgs(
-    const ActionDef& action, const mem::BitString& args_data);
-
-// Packs parameter values (declaration order) into action_data layout.
-mem::BitString PackActionArgs(const ActionDef& action,
-                              const std::vector<mem::BitString>& values);
-
 // Runs the action body. `env.args` is set internally from `args_data`.
 Status ExecuteAction(const ActionDef& action, const mem::BitString& args_data,
                      PacketContext& ctx, RegisterFile* regs);

@@ -4,17 +4,6 @@
 
 namespace ipsa::arch {
 
-mem::BitString ConcatBits(const std::vector<mem::BitString>& values) {
-  size_t total = 0;
-  for (const auto& v : values) total += v.bit_width();
-  mem::BitString out(total);
-  size_t cursor = 0;
-  for (const auto& v : values) {
-    out.AppendBits(v, 0, v.bit_width(), cursor);
-  }
-  return out;
-}
-
 Status TableCatalog::CreateTable(const table::TableSpec& spec,
                                  TableBinding binding,
                                  std::optional<uint32_t> cluster) {

@@ -27,9 +27,6 @@ struct TableBinding {
   std::vector<FieldRef> key_fields;
 };
 
-// Concatenates values low-bits-first (value 0 at bit 0).
-mem::BitString ConcatBits(const std::vector<mem::BitString>& values);
-
 class TableCatalog {
  public:
   explicit TableCatalog(mem::Pool& pool) : pool_(&pool) {}

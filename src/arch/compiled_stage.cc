@@ -309,7 +309,7 @@ Result<mem::BitString> EvalCompiled(const CompiledExpr& e,
         return FailedPrecondition("no action arguments bound");
       }
       // Zero-fill when the entry's action_data is too short for the
-      // parameter (same as BindActionArgs).
+      // parameter (same as the interpreter).
       if (e.param_offset + e.param_width <= env.args->bit_width()) {
         return env.args->Slice(e.param_offset, e.param_width);
       }
@@ -523,7 +523,7 @@ Result<uint64_t> RunFlat(const std::vector<FlatInsn>& code,
           return FailedPrecondition("no action arguments bound");
         }
         // Zero-fill when the entry's action_data is too short for the
-        // parameter (same as BindActionArgs).
+        // parameter (same as the interpreter).
         *top++ = in.arg + in.width <= env.args->bit_width()
                      ? env.args->GetBits(in.arg, in.width)
                      : 0;

@@ -73,7 +73,7 @@ class PacketContext {
 
   // Points this context at a new packet and resets per-packet state (PHV,
   // cycles). Metadata values are NOT touched — refresh them separately, e.g.
-  // metadata().CopyValuesFrom(proto).
+  // metadata().Reset().
   void Rebind(net::Packet& packet, const HeaderRegistry& registry) {
     packet_ = &packet;
     registry_ = &registry;

@@ -203,8 +203,7 @@ Result<mem::BitString> EvalBinaryKernel(Expr::Op op, const mem::BitString& a,
 }
 
 // Slices `name`'s bits out of `args_data` per `params`' declaration-order
-// layout; zero-fills a parameter that does not fully fit (matching
-// BindActionArgs).
+// layout; zero-fills a parameter that does not fully fit.
 static Result<mem::BitString> SliceParam(const std::vector<ActionParam>& params,
                                          const mem::BitString& args_data,
                                          const std::string& name) {

@@ -41,7 +41,6 @@ Status Metadata::Declare(const std::string& name, uint32_t width_bits) {
   }
   slots_.push_back(info);
   words_.push_back(0);
-  names_.push_back(name);
   index_.emplace(name, slot);
   if (name == "drop") {
     drop_slot_ = slot;
@@ -121,11 +120,6 @@ void Metadata::Reset() {
   for (auto& value : wide_) value.Zero();
 }
 
-void Metadata::CopyValuesFrom(const Metadata& other) {
-  std::copy(other.words_.begin(), other.words_.end(), words_.begin());
-  for (size_t i = 0; i < wide_.size(); ++i) wide_[i].Assign(other.wide_[i]);
-}
-
 Metadata Metadata::Standard() {
   Metadata m;
   (void)m.Declare("ingress_port", 9);
@@ -139,12 +133,6 @@ Metadata Metadata::Standard() {
   (void)m.Declare("l3", 1);        // 1 = route, 0 = bridge
   (void)m.Declare("nexthop", 16);
   return m;
-}
-
-std::vector<std::string> Metadata::FieldNames() const {
-  std::vector<std::string> out(names_.begin(), names_.end());
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace ipsa::arch

@@ -151,15 +151,8 @@ class Metadata {
 
   void Reset();  // zeroes all fields in place, keeps declarations
 
-  // Copies every slot value from `other` in place (no allocation). Both
-  // objects must have been built by the same declaration sequence.
-  void CopyValuesFrom(const Metadata& other);
-
   // The standard metadata every packet context carries.
   static Metadata Standard();
-
-  // Sorted, for deterministic enumeration.
-  std::vector<std::string> FieldNames() const;
 
  private:
   struct SlotInfo {
@@ -174,7 +167,6 @@ class Metadata {
   std::vector<uint64_t> words_;        // slot -> narrow value (0 if wide)
   std::vector<SlotInfo> slots_;        // slot -> shape
   std::vector<mem::BitString> wide_;   // values of the wide slots
-  std::vector<std::string> names_;     // slot -> name
   int drop_slot_ = kInvalidSlot;
   int mark_slot_ = kInvalidSlot;
   int egress_spec_slot_ = kInvalidSlot;

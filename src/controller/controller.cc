@@ -87,16 +87,6 @@ Status Rp4FlowController::AddEntry(const std::string& table,
   return device_->AddEntry(table, entry, upsert);
 }
 
-Result<table::Entry> Rp4FlowController::BuildEntry(
-    std::string_view table, std::string_view action,
-    const std::vector<KeyValue>& key_values,
-    const std::vector<mem::BitString>& action_args, uint32_t prefix_len,
-    uint32_t priority) {
-  EntryBuilder builder(api_);
-  return builder.Build(table, action, key_values, action_args, prefix_len,
-                       priority);
-}
-
 std::string Rp4FlowController::CurrentRp4Source() const {
   return rp4::PrintRp4(program_);
 }
@@ -141,16 +131,6 @@ Status PisaFlowController::AddEntry(const std::string& table,
   IPSA_RETURN_IF_ERROR(device_->AddEntry(table, entry, upsert));
   shadow_[table].push_back(entry);
   return OkStatus();
-}
-
-Result<table::Entry> PisaFlowController::BuildEntry(
-    std::string_view table, std::string_view action,
-    const std::vector<KeyValue>& key_values,
-    const std::vector<mem::BitString>& action_args, uint32_t prefix_len,
-    uint32_t priority) {
-  EntryBuilder builder(api_);
-  return builder.Build(table, action, key_values, action_args, prefix_len,
-                       priority);
 }
 
 uint64_t PisaFlowController::shadow_entry_count() const {

@@ -54,11 +54,6 @@ class Rp4FlowController {
   // kAlreadyExists (bulk RPC semantics).
   Status AddEntry(const std::string& table, const table::Entry& entry,
                   bool upsert = true);
-  Result<table::Entry> BuildEntry(
-      std::string_view table, std::string_view action,
-      const std::vector<KeyValue>& key_values,
-      const std::vector<mem::BitString>& action_args, uint32_t prefix_len = 0,
-      uint32_t priority = 0);
 
   const rp4::Rp4Program& program() const { return program_; }
   const compiler::TspLayout& layout() const { return layout_; }
@@ -95,11 +90,6 @@ class PisaFlowController {
   // with kAlreadyExists and never reach the shadow.
   Status AddEntry(const std::string& table, const table::Entry& entry,
                   bool upsert = true);
-  Result<table::Entry> BuildEntry(
-      std::string_view table, std::string_view action,
-      const std::vector<KeyValue>& key_values,
-      const std::vector<mem::BitString>& action_args, uint32_t prefix_len = 0,
-      uint32_t priority = 0);
 
   const compiler::ApiSpec& api() const { return api_; }
   pisa::PisaSwitch& device() { return *device_; }

@@ -890,24 +890,13 @@ const std::string& AllreduceV2Rp4Snippet() {
   return kSource;
 }
 
-const std::string& AllreduceScript() {
-  // Contributions are routed packets (dst = collector), so the stage sits
-  // on the routed path: between the FIB and the nexthop resolution. The
-  // new header hangs off IPv4 protocol 153 (experimentation, RFC 3692).
-  static const std::string kSource = R"(
-load alr.rp4 --func_name alr
-link_header --pre ipv4 --next alr --tag 153
-add_link ipv4_lpm alr_agg
-add_link alr_agg nexthop
-del_link ipv4_lpm nexthop
-)";
-  return kSource;
-}
-
 const std::string& FabricAllreduceScript() {
-  // On a leaf the fab_ecmp selector already owns the ipv4_lpm -> nexthop
-  // edge; aggregation splices after it. Local-destined results still work:
-  // the nexthop stage overwrites fab_set_spine's choice for local routes.
+  // Contributions are routed packets (dst = collector), so the stage sits
+  // on the routed path. On a leaf the fab_ecmp selector already owns the
+  // ipv4_lpm -> nexthop edge; aggregation splices after it. Local-destined
+  // results still work: the nexthop stage overwrites fab_set_spine's choice
+  // for local routes. The new header hangs off IPv4 protocol 153
+  // (experimentation, RFC 3692).
   static const std::string kSource = R"(
 load alr.rp4 --func_name alr
 link_header --pre ipv4 --next alr --tag 153

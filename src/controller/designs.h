@@ -95,10 +95,8 @@ const std::string& FabricProbeRemoveScript();
 // drop at the device. A duplicate arriving after completion re-emits the
 // result, so a lost result packet is repaired by any retransmit.
 const std::string& AllreduceRp4Snippet();
-// Splices alr_agg between ipv4_lpm and nexthop on a plain base design.
-const std::string& AllreduceScript();
-// Same splice on a leaf that already carries the fab_ecmp selector stage
-// (src/fabric/leaf_spine.cc): alr_agg goes between fab_ecmp and nexthop.
+// Splices alr_agg between fab_ecmp and nexthop on a leaf that carries the
+// fab_ecmp selector stage (src/fabric/leaf_spine.cc).
 const std::string& FabricAllreduceScript();
 // In-place v2: identical aggregation semantics plus a duplicate-counting
 // register — aggregation state survives the in-situ update.

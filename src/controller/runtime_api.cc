@@ -26,10 +26,10 @@ mem::BitString Ipv6Bits(const std::array<uint8_t, 16>& addr_be) {
 
 namespace {
 
-// Packs `parts` low-bits-first at `widths` (the BindActionArgs layout for
-// action arguments, arch::ConcatBits for keys) into one string sized once:
-// `put(out, offset, width, part)` stores each part, whole words at a time,
-// truncated or zero-extended to its width. Parts beyond `widths` are
+// Packs `parts` low-bits-first at `widths` (the action_data layout for
+// action arguments, the datapath key layout for keys) into one string sized
+// once: `put(out, offset, width, part)` stores each part, whole words at a
+// time, truncated or zero-extended to its width. Parts beyond `widths` are
 // ignored.
 template <typename Part, typename Put>
 mem::BitString PackWords(const std::vector<uint32_t>& widths,

@@ -3,8 +3,8 @@
 // tables at runtime").
 //
 // Keys pack field values low-bits-first in key declaration order — the same
-// rule arch::ConcatBits applies on the datapath, so controller-built entries
-// and matcher-built lookup keys always agree.
+// rule arch::TableCatalog::BuildKeyInto applies on the datapath, so
+// controller-built entries and matcher-built lookup keys always agree.
 #pragma once
 
 #include <cstdint>

@@ -4,13 +4,6 @@
 
 namespace ipsa::fabric {
 
-Result<uint32_t> Topology::FindNode(std::string_view name) const {
-  for (uint32_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i].name == name) return i;
-  }
-  return NotFound("no node named '" + std::string(name) + "'");
-}
-
 Status Topology::Validate() const {
   auto check_ref = [this](const PortRef& ref, const char* what) -> Status {
     if (ref.node >= nodes.size()) {

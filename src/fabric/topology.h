@@ -61,7 +61,6 @@ struct Topology {
   std::vector<LinkSpec> links;
   std::vector<HostSpec> hosts;
 
-  Result<uint32_t> FindNode(std::string_view name) const;
   // Structural validation: endpoint indices in range, no port used by more
   // than one link or host, loss probabilities in [0, 1].
   Status Validate() const;

@@ -26,14 +26,6 @@ Status Crossbar::Connect(uint32_t proc, uint32_t block_id, const Pool& pool) {
   return OkStatus();
 }
 
-Status Crossbar::Disconnect(uint32_t proc, uint32_t block_id) {
-  if (routes_.erase({proc, block_id}) == 0) {
-    return NotFound("crossbar: route not present");
-  }
-  ++config_words_;
-  return OkStatus();
-}
-
 uint32_t Crossbar::DisconnectProc(uint32_t proc) {
   uint32_t removed = 0;
   for (auto it = routes_.begin(); it != routes_.end();) {

@@ -41,7 +41,6 @@ class Crossbar {
   bool Routable(uint32_t proc, uint32_t block_id, const Pool& pool) const;
 
   Status Connect(uint32_t proc, uint32_t block_id, const Pool& pool);
-  Status Disconnect(uint32_t proc, uint32_t block_id);
   // Tears down every route of `proc`; returns the number removed.
   uint32_t DisconnectProc(uint32_t proc);
 
@@ -51,8 +50,8 @@ class Crossbar {
   std::vector<uint32_t> BlocksOf(uint32_t proc) const;
   size_t route_count() const { return routes_.size(); }
 
-  // Every Connect/Disconnect writes one configuration word; the device
-  // model charges load time per word.
+  // Every route Connect adds or DisconnectProc removes writes one
+  // configuration word; the device model charges load time per word.
   uint64_t config_words_written() const { return config_words_; }
   void ResetConfigCounter() { config_words_ = 0; }
 

@@ -17,16 +17,4 @@ uint16_t InternetChecksum(std::span<const uint8_t> data) {
   return static_cast<uint16_t>(~sum);
 }
 
-uint16_t ChecksumIncrementalUpdate(uint16_t old_checksum, uint16_t old_word,
-                                   uint16_t new_word) {
-  // RFC 1624 eqn. 3: HC' = ~(~HC + ~m + m')
-  uint32_t sum = static_cast<uint16_t>(~old_checksum);
-  sum += static_cast<uint16_t>(~old_word);
-  sum += new_word;
-  while (sum >> 16) {
-    sum = (sum & 0xFFFF) + (sum >> 16);
-  }
-  return static_cast<uint16_t>(~sum);
-}
-
 }  // namespace ipsa::net

@@ -1,5 +1,5 @@
-// Internet checksum (RFC 1071) used by the IPv4 header and the L3 rewrite
-// action primitives (incremental TTL-decrement update).
+// Internet checksum (RFC 1071) used by the IPv4 header and the
+// update_checksum action primitive.
 #pragma once
 
 #include <cstdint>
@@ -9,10 +9,5 @@ namespace ipsa::net {
 
 // One's-complement sum of 16-bit words, folded and complemented.
 uint16_t InternetChecksum(std::span<const uint8_t> data);
-
-// Incremental checksum update per RFC 1624 when a 16-bit word changes from
-// `old_word` to `new_word`.
-uint16_t ChecksumIncrementalUpdate(uint16_t old_checksum, uint16_t old_word,
-                                   uint16_t new_word);
 
 }  // namespace ipsa::net

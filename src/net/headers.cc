@@ -27,11 +27,6 @@ std::string MacAddr::ToString() const {
                       bytes[2], bytes[3], bytes[4], bytes[5]);
 }
 
-Ipv4Addr Ipv4Addr::FromOctets(uint8_t a, uint8_t b, uint8_t c, uint8_t d) {
-  return {static_cast<uint32_t>(a) << 24 | static_cast<uint32_t>(b) << 16 |
-          static_cast<uint32_t>(c) << 8 | d};
-}
-
 Ipv4Addr Ipv4Addr::FromString(std::string_view s) {
   auto parts = util::Split(s, '.');
   if (parts.size() != 4) return {};
@@ -87,39 +82,15 @@ void EthernetView::set_src(const MacAddr& m) {
   std::copy(m.bytes.begin(), m.bytes.end(), b_.begin() + 6);
 }
 
-void VlanView::set_vid(uint16_t vid) {
-  uint16_t tci = util::LoadBe16(b_.data());
-  tci = static_cast<uint16_t>((tci & 0xF000) | (vid & 0x0FFF));
-  util::StoreBe16(b_.data(), tci);
-}
-
-void VlanView::set_pcp(uint8_t pcp) {
-  uint16_t tci = util::LoadBe16(b_.data());
-  tci = static_cast<uint16_t>((tci & 0x1FFF) | (static_cast<uint16_t>(pcp & 0x7) << 13));
-  util::StoreBe16(b_.data(), tci);
-}
-
 void Ipv4View::UpdateChecksum() {
   set_checksum(0);
   set_checksum(InternetChecksum(b_.subspan(0, kSize)));
-}
-
-Ipv6Addr Ipv6View::src() const {
-  Ipv6Addr a;
-  std::copy(b_.begin() + 8, b_.begin() + 24, a.bytes.begin());
-  return a;
 }
 
 Ipv6Addr Ipv6View::dst() const {
   Ipv6Addr a;
   std::copy(b_.begin() + 24, b_.begin() + 40, a.bytes.begin());
   return a;
-}
-
-void Ipv6View::set_flow_label(uint32_t v) {
-  uint32_t word = util::LoadBe32(b_.data());
-  word = (word & 0xFFF00000u) | (v & 0x000FFFFFu);
-  util::StoreBe32(b_.data(), word);
 }
 
 void Ipv6View::set_src(const Ipv6Addr& a) {

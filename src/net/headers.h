@@ -1,6 +1,6 @@
 // Concrete wire-format header views for the protocols the paper's use cases
-// exercise: Ethernet, VLAN, IPv4, IPv6, the SRv6 SRH extension header, UDP
-// and TCP.
+// exercise: Ethernet, IPv4, IPv6, the SRv6 SRH extension header, UDP and
+// TCP.
 //
 // These are *views*: lightweight accessors over bytes inside a Packet. The
 // switches themselves parse headers generically from HeaderType descriptors
@@ -33,7 +33,6 @@ struct MacAddr {
 struct Ipv4Addr {
   uint32_t value = 0;  // host byte order
 
-  static Ipv4Addr FromOctets(uint8_t a, uint8_t b, uint8_t c, uint8_t d);
   // Parses dotted-quad "10.0.0.1"; returns zero address on malformed input.
   static Ipv4Addr FromString(std::string_view s);
   std::string ToString() const;
@@ -55,7 +54,6 @@ struct Ipv6Addr {
 
 inline constexpr uint16_t kEtherTypeIpv4 = 0x0800;
 inline constexpr uint16_t kEtherTypeIpv6 = 0x86DD;
-inline constexpr uint16_t kEtherTypeVlan = 0x8100;
 
 inline constexpr uint8_t kIpProtoTcp = 6;
 inline constexpr uint8_t kIpProtoUdp = 17;
@@ -79,23 +77,6 @@ class EthernetView {
   void set_dst(const MacAddr& m);
   void set_src(const MacAddr& m);
   void set_ether_type(uint16_t v) { util::StoreBe16(b_.data() + 12, v); }
-
- private:
-  std::span<uint8_t> b_;
-};
-
-class VlanView {
- public:
-  static constexpr size_t kSize = 4;
-  explicit VlanView(std::span<uint8_t> bytes) : b_(bytes) {}
-
-  uint16_t vid() const { return util::LoadBe16(b_.data()) & 0x0FFF; }
-  uint8_t pcp() const { return static_cast<uint8_t>(b_[0] >> 5); }
-  uint16_t ether_type() const { return util::LoadBe16(b_.data() + 2); }
-
-  void set_vid(uint16_t vid);
-  void set_pcp(uint8_t pcp);
-  void set_ether_type(uint16_t v) { util::StoreBe16(b_.data() + 2, v); }
 
  private:
   std::span<uint8_t> b_;
@@ -150,13 +131,11 @@ class Ipv6View {
   uint16_t payload_length() const { return util::LoadBe16(b_.data() + 4); }
   uint8_t next_header() const { return b_[6]; }
   uint8_t hop_limit() const { return b_[7]; }
-  Ipv6Addr src() const;
   Ipv6Addr dst() const;
 
   void set_version(uint8_t v) {
     b_[0] = static_cast<uint8_t>((v << 4) | (b_[0] & 0x0F));
   }
-  void set_flow_label(uint32_t v);
   void set_payload_length(uint16_t v) { util::StoreBe16(b_.data() + 4, v); }
   void set_next_header(uint8_t v) { b_[6] = v; }
   void set_hop_limit(uint8_t v) { b_[7] = v; }

@@ -48,8 +48,4 @@ Status Packet::RemoveBytes(size_t at, size_t count) {
   return OkStatus();
 }
 
-void Packet::Append(std::span<const uint8_t> bytes) {
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-}
-
 }  // namespace ipsa::net

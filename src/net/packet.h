@@ -51,9 +51,6 @@ class Packet {
   // preceding headers backwards (cheap for front-of-packet headers).
   Status RemoveBytes(size_t at, size_t count);
 
-  // Appends raw bytes at the tail (payload building).
-  void Append(std::span<const uint8_t> bytes);
-
   bool operator==(const Packet& other) const {
     auto a = bytes();
     auto b = other.bytes();

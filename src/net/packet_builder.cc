@@ -15,15 +15,6 @@ PacketBuilder& PacketBuilder::Ethernet(const MacAddr& dst, const MacAddr& src,
   return *this;
 }
 
-PacketBuilder& PacketBuilder::Vlan(uint16_t vid, uint16_t inner_ether_type) {
-  size_t off = bytes_.size();
-  bytes_.resize(off + VlanView::kSize);
-  VlanView view(std::span<uint8_t>(bytes_).subspan(off));
-  view.set_vid(vid);
-  view.set_ether_type(inner_ether_type);
-  return *this;
-}
-
 PacketBuilder& PacketBuilder::Ipv4(Ipv4Addr src, Ipv4Addr dst,
                                    uint8_t protocol, uint8_t ttl,
                                    uint8_t dscp) {

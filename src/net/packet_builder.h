@@ -22,7 +22,6 @@ class PacketBuilder {
  public:
   PacketBuilder& Ethernet(const MacAddr& dst, const MacAddr& src,
                           uint16_t ether_type);
-  PacketBuilder& Vlan(uint16_t vid, uint16_t inner_ether_type);
   PacketBuilder& Ipv4(Ipv4Addr src, Ipv4Addr dst, uint8_t protocol,
                       uint8_t ttl = 64, uint8_t dscp = 0);
   PacketBuilder& Ipv6(const Ipv6Addr& src, const Ipv6Addr& dst,

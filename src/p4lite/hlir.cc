@@ -16,13 +16,6 @@ const HlirParseState* Hlir::FindState(std::string_view name) const {
   return nullptr;
 }
 
-std::string Hlir::InstanceType(std::string_view instance) const {
-  for (const auto& [inst, type] : header_instances) {
-    if (inst == instance) return type;
-  }
-  return "";
-}
-
 Result<arch::HeaderRegistry> Hlir::BuildHeaderRegistry() const {
   // Instance -> header type def (instances are what the pipeline sees; we
   // register one type per *instance* so per-instance links are unambiguous).

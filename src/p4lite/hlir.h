@@ -77,7 +77,6 @@ struct Hlir {
 
   const arch::HeaderTypeDef* FindHeaderType(std::string_view name) const;
   const HlirParseState* FindState(std::string_view name) const;
-  std::string InstanceType(std::string_view instance) const;
 
   // Flattens the parse graph into per-header-type links (tag -> next header
   // type), the form both IPSA's distributed parsers and PISA's front parser

@@ -38,7 +38,6 @@ uint64_t SourceWindow::Push(const telemetry::MetricsSnapshot& snap) {
     ready_ = false;
     fresh_ = false;
     ports_.clear();
-    tables_.clear();
     return 0;
   }
   if (snap.seq == cur_.seq) {
@@ -57,8 +56,7 @@ uint64_t SourceWindow::Push(const telemetry::MetricsSnapshot& snap) {
 
 void SourceWindow::Rebuild() {
   ports_.clear();
-  tables_.clear();
-  // Counters are cumulative; a port/table present only in `cur` contributes
+  // Counters are cumulative; a port present only in `cur` contributes
   // its full value, one present only in `prev` went quiet (delta 0). A
   // ResetMetrics between the snapshots makes cur < prev — treat cur as the
   // whole window rather than wrapping around.
@@ -72,8 +70,6 @@ void SourceWindow::Rebuild() {
     if (it != prev_ports.end()) p = it->second;
     w.packets_in = sub(row.metrics.packets_in, p ? p->packets_in : 0);
     w.packets_out = sub(row.metrics.packets_out, p ? p->packets_out : 0);
-    w.packets_dropped =
-        sub(row.metrics.packets_dropped, p ? p->packets_dropped : 0);
     w.packets_marked =
         sub(row.metrics.packets_marked, p ? p->packets_marked : 0);
     w.cycles_cur = row.metrics.cycles;
@@ -82,18 +78,6 @@ void SourceWindow::Rebuild() {
     }
     ports_[row.port] = std::move(w);
   }
-  std::map<std::string, const telemetry::TableRow*> prev_tables;
-  for (const auto& row : prev_.tables) prev_tables[row.table] = &row;
-  for (const auto& row : cur_.tables) {
-    TableWindow w;
-    const telemetry::TableRow* p = nullptr;
-    auto it = prev_tables.find(row.table);
-    if (it != prev_tables.end()) p = it->second;
-    w.hits = sub(row.hits, p ? p->hits : 0);
-    w.misses = sub(row.misses, p ? p->misses : 0);
-    w.entries = row.entries;
-    tables_[row.table] = w;
-  }
 }
 
 const PortWindow* SourceWindow::port(uint32_t port) const {
@@ -101,19 +85,9 @@ const PortWindow* SourceWindow::port(uint32_t port) const {
   return it == ports_.end() ? nullptr : &it->second;
 }
 
-const TableWindow* SourceWindow::table(const std::string& name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
 uint64_t SourceWindow::PortIn(uint32_t p) const {
   const PortWindow* w = port(p);
   return w == nullptr ? 0 : w->packets_in;
-}
-
-uint64_t SourceWindow::PortOut(uint32_t p) const {
-  const PortWindow* w = port(p);
-  return w == nullptr ? 0 : w->packets_out;
 }
 
 }  // namespace ipsa::reactor

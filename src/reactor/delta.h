@@ -3,10 +3,9 @@
 // Policies react to *rates*, not lifetime totals: "this port stopped
 // receiving", "that uplink carries 3x its sibling". A SourceWindow keeps the
 // two most recent snapshots from one metric source and exposes the
-// difference — per-port packet deltas, per-table hit/miss deltas, and
-// windowed latency percentiles computed by elementwise histogram
-// subtraction (the power-of-two buckets that make shard merge an addition
-// make window extraction a subtraction).
+// difference — per-port packet deltas and windowed latency percentiles
+// computed by elementwise histogram subtraction (the power-of-two buckets
+// that make shard merge an addition make window extraction a subtraction).
 //
 // Staleness is first-class: every snapshot carries the collector's monotonic
 // `seq`, so a window knows whether the latest poll actually advanced it
@@ -16,7 +15,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 
 #include "telemetry/metrics.h"
 
@@ -38,7 +36,6 @@ uint64_t DeltaPercentile(const telemetry::Histogram& cur,
 struct PortWindow {
   uint64_t packets_in = 0;
   uint64_t packets_out = 0;
-  uint64_t packets_dropped = 0;
   uint64_t packets_marked = 0;
   telemetry::Histogram cycles_cur;   // cumulative at window end
   telemetry::Histogram cycles_prev;  // cumulative at window start
@@ -47,13 +44,6 @@ struct PortWindow {
   uint64_t CyclesPercentile(double q) const {
     return DeltaPercentile(cycles_cur, cycles_prev, q);
   }
-};
-
-// Per-table activity over one window (entries is the end-of-window count).
-struct TableWindow {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint32_t entries = 0;
 };
 
 class SourceWindow {
@@ -74,19 +64,16 @@ class SourceWindow {
   uint64_t config_epoch() const { return cur_.config_epoch; }
   uint64_t missed() const { return missed_; }
 
-  // Null when the port/table had no row in either snapshot.
+  // Null when the port had no row in either snapshot.
   const PortWindow* port(uint32_t port) const;
-  const TableWindow* table(const std::string& name) const;
 
   // Zero-default accessors, for conditions over possibly-idle ports.
   uint64_t PortIn(uint32_t p) const;
-  uint64_t PortOut(uint32_t p) const;
 
  private:
   telemetry::MetricsSnapshot prev_;
   telemetry::MetricsSnapshot cur_;
   std::map<uint32_t, PortWindow> ports_;
-  std::map<std::string, TableWindow> tables_;
   bool has_cur_ = false;
   bool ready_ = false;
   bool fresh_ = false;

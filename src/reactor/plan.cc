@@ -57,15 +57,6 @@ PlanBuilder& PlanBuilder::Modify(std::string_view table,
             priority);
 }
 
-PlanBuilder& PlanBuilder::Delete(std::string_view table,
-                                 std::string_view action,
-                                 const std::vector<controller::KeyValue>& keys,
-                                 const std::vector<mem::BitString>& args,
-                                 uint32_t prefix_len, uint32_t priority) {
-  return Op(rpc::TableOpKind::kDelete, table, action, keys, args, prefix_len,
-            priority);
-}
-
 PlanBuilder& PlanBuilder::SelectorMember(
     rpc::TableOpKind op, std::string_view table, uint32_t bucket,
     std::string_view action, const std::vector<mem::BitString>& args) {

@@ -70,10 +70,6 @@ class PlanBuilder {
                       const std::vector<controller::KeyValue>& keys,
                       const std::vector<mem::BitString>& args,
                       uint32_t prefix_len = 0, uint32_t priority = 0);
-  PlanBuilder& Delete(std::string_view table, std::string_view action,
-                      const std::vector<controller::KeyValue>& keys,
-                      const std::vector<mem::BitString>& args,
-                      uint32_t prefix_len = 0, uint32_t priority = 0);
   // Selector member by bucket index; kAdd overwrites an occupied bucket
   // (that is how re-weighting works), kDelete withdraws it.
   PlanBuilder& SelectorMember(rpc::TableOpKind op, std::string_view table,

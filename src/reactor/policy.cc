@@ -23,9 +23,6 @@ std::string Condition::ToString() const {
              std::to_string(ratio) + " * in(" +
              (guard_source.empty() ? source : guard_source) + ":" +
              std::to_string(guard_port) + ")";
-    case ConditionKind::kTableMissRateAbove:
-      return "missrate(" + source + ":" + table + ") > " +
-             std::to_string(ratio);
   }
   return "condition(?)";
 }
@@ -86,17 +83,6 @@ Condition PortRateRatioAbove(std::string hot_source, uint32_t hot_port,
   return c;
 }
 
-Condition TableMissRateAbove(std::string source, std::string table,
-                             double ratio, uint64_t min_count) {
-  Condition c;
-  c.kind = ConditionKind::kTableMissRateAbove;
-  c.source = std::move(source);
-  c.table = std::move(table);
-  c.ratio = ratio;
-  c.min_count = min_count;
-  return c;
-}
-
 namespace {
 
 const SourceWindow* ReadyWindow(
@@ -139,14 +125,6 @@ bool Evaluate(const Condition& c,
       if (hot < c.min_count) return false;
       return static_cast<double>(hot) >
              c.ratio * static_cast<double>(cold == 0 ? 1 : cold);
-    }
-    case ConditionKind::kTableMissRateAbove: {
-      const TableWindow* t = w->table(c.table);
-      if (t == nullptr) return false;
-      uint64_t total = t->hits + t->misses;
-      if (total < c.min_count) return false;
-      return static_cast<double>(t->misses) >
-             c.ratio * static_cast<double>(total);
     }
   }
   return false;

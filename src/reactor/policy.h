@@ -36,9 +36,6 @@ enum class ConditionKind : uint8_t {
   // facing the same leaf — the leaf's upstream ECMP split seen from the
   // receiving ends, since ports count ingress).
   kPortRateRatioAbove = 4,
-  // `table` on `source` missed more than `ratio` of its lookups this
-  // window, over at least min_count lookups.
-  kTableMissRateAbove = 5,
 };
 
 struct Condition {
@@ -47,7 +44,6 @@ struct Condition {
   std::string guard_source;  // stall/ratio second side ("" = same as source)
   uint32_t port = 0;
   uint32_t guard_port = 0;
-  std::string table;       // kTableMissRateAbove
   uint64_t threshold = 0;  // packets or cycles, per kind
   uint64_t min_count = 1;  // observation floor before the test applies
   double ratio = 0.0;
@@ -65,8 +61,6 @@ Condition PortRateAbove(std::string source, uint32_t port, uint64_t packets);
 Condition PortRateBelow(std::string source, uint32_t port, uint64_t packets);
 Condition PortRateRatioAbove(std::string hot_source, uint32_t hot_port,
                              std::string cold_source, uint32_t cold_port,
-                             double ratio, uint64_t min_count = 1);
-Condition TableMissRateAbove(std::string source, std::string table,
                              double ratio, uint64_t min_count = 1);
 
 // True when the condition holds over the named windows. Every referenced

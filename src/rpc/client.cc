@@ -244,8 +244,7 @@ Result<BulkResult> Client::ApplyBulk(
     const uint32_t count =
         static_cast<uint32_t>(std::min<uint64_t>(per_frame, ops.size() - start));
     wire::Writer w;
-    w.U32(count);
-    for (uint32_t i = 0; i < count; ++i) ops[start + i].Encode(w);
+    TableBulkRequest::Encode(std::span(ops).subspan(start, count), w);
     wire::Frame req;
     req.type = static_cast<uint16_t>(MsgType::kTableBulkReq);
     req.seq = next_seq_++;

@@ -209,7 +209,7 @@ Result<TableBatchResponse> TableBatchResponse::Decode(wire::Reader& r) {
   return resp;
 }
 
-void TableBulkRequest::Encode(wire::Writer& w) const {
+void TableBulkRequest::Encode(std::span<const TableOp> ops, wire::Writer& w) {
   w.U32(static_cast<uint32_t>(ops.size()));
   for (const TableOp& op : ops) op.Encode(w);
 }

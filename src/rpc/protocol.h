@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -162,7 +163,8 @@ struct TableBatchResponse {
 struct TableBulkRequest {
   std::vector<TableOp> ops;
 
-  void Encode(wire::Writer& w) const;
+  // Takes a span so a client frames a slice of its op list in place.
+  static void Encode(std::span<const TableOp> ops, wire::Writer& w);
   static Result<TableBulkRequest> Decode(wire::Reader& r);
 };
 

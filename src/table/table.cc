@@ -162,17 +162,6 @@ CachedAction MatchTable::DecodeRow(uint32_t row) const {
   return a;
 }
 
-Entry MatchTable::UnpackRow(const mem::BitString& row) const {
-  Entry e;
-  e.key = row.Slice(0, spec_.key_width_bits);
-  e.prefix_len = static_cast<uint32_t>(row.GetBits(spec_.key_width_bits, 8));
-  e.action_id =
-      static_cast<uint32_t>(row.GetBits(spec_.key_width_bits + 8, 16));
-  e.action_data = row.Slice(spec_.key_width_bits + 8 + 16,
-                            spec_.action_data_width_bits);
-  return e;
-}
-
 Result<std::unique_ptr<MatchTable>> CreateTable(
     const TableSpec& spec, mem::Pool& pool, uint32_t table_id,
     std::optional<uint32_t> cluster) {

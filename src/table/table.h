@@ -242,7 +242,6 @@ class MatchTable {
   // Row layout: key [| mask] | action_id(16) | action_data.
   uint32_t RowWidthBits() const;
   mem::BitString PackRow(const Entry& e) const;
-  Entry UnpackRow(const mem::BitString& row) const;
 
   // Data-bus width between processors and the pool; §5 notes IPSA throughput
   // suffers when an entry exceeds this width.

@@ -1,56 +1,6 @@
 #include "util/bitops.h"
 
-#include <cassert>
-
 namespace ipsa::util {
-
-uint64_t ReadBits(std::span<const uint8_t> data, size_t bit_offset,
-                  size_t bit_width) {
-  assert(bit_width <= 64);
-  assert(bit_offset + bit_width <= data.size() * 8);
-  if (bit_width == 0) return 0;
-
-  uint64_t value = 0;
-  size_t first_byte = bit_offset / 8;
-  size_t last_byte = (bit_offset + bit_width - 1) / 8;
-  for (size_t i = first_byte; i <= last_byte; ++i) {
-    value = (value << 8) | data[i];
-  }
-  // `value` now holds the covering bytes; shift off trailing bits beyond the
-  // field and mask off leading bits before it. The covering span is at most
-  // 9 bytes only when width==64 and misaligned; handle that case separately.
-  size_t covered_bits = (last_byte - first_byte + 1) * 8;
-  if (covered_bits > 64) {
-    // Misaligned 58..64-bit field spanning 9 bytes: assemble via two reads.
-    size_t head_bits = 8 - (bit_offset % 8);
-    uint64_t head = ReadBits(data, bit_offset, head_bits);
-    uint64_t tail = ReadBits(data, bit_offset + head_bits,
-                             bit_width - head_bits);
-    return (head << (bit_width - head_bits)) | tail;
-  }
-  size_t trailing = covered_bits - (bit_offset % 8) - bit_width;
-  value >>= trailing;
-  return value & LowMask(bit_width);
-}
-
-void WriteBits(std::span<uint8_t> data, size_t bit_offset, size_t bit_width,
-               uint64_t value) {
-  assert(bit_width <= 64);
-  assert(bit_offset + bit_width <= data.size() * 8);
-  // Stream bit (bit_offset + i) receives value bit (bit_width - 1 - i):
-  // the field is big-endian on the wire, bit 0 of the stream being the MSB
-  // of byte 0 (matching ReadBits).
-  for (size_t i = 0; i < bit_width; ++i) {
-    size_t abs = bit_offset + i;
-    uint8_t mask = static_cast<uint8_t>(1u << (7 - abs % 8));
-    bool bit = (value >> (bit_width - 1 - i)) & 1;
-    if (bit) {
-      data[abs / 8] |= mask;
-    } else {
-      data[abs / 8] &= static_cast<uint8_t>(~mask);
-    }
-  }
-}
 
 uint16_t LoadBe16(const uint8_t* p) {
   return static_cast<uint16_t>(p[0] << 8 | p[1]);
@@ -59,10 +9,6 @@ uint16_t LoadBe16(const uint8_t* p) {
 uint32_t LoadBe32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) << 24 | static_cast<uint32_t>(p[1]) << 16 |
          static_cast<uint32_t>(p[2]) << 8 | static_cast<uint32_t>(p[3]);
-}
-
-uint64_t LoadBe64(const uint8_t* p) {
-  return static_cast<uint64_t>(LoadBe32(p)) << 32 | LoadBe32(p + 4);
 }
 
 void StoreBe16(uint8_t* p, uint16_t v) {
@@ -75,11 +21,6 @@ void StoreBe32(uint8_t* p, uint32_t v) {
   p[1] = static_cast<uint8_t>(v >> 16);
   p[2] = static_cast<uint8_t>(v >> 8);
   p[3] = static_cast<uint8_t>(v);
-}
-
-void StoreBe64(uint8_t* p, uint64_t v) {
-  StoreBe32(p, static_cast<uint32_t>(v >> 32));
-  StoreBe32(p + 4, static_cast<uint32_t>(v));
 }
 
 }  // namespace ipsa::util

@@ -1,44 +1,14 @@
-// Bit-level helpers for header field extraction and insertion.
-//
-// Packet header fields are arbitrary-width big-endian bit ranges that need
-// not align to byte boundaries (e.g. the IPv4 "version" nibble, the 20-bit
-// IPv6 flow label). These helpers read and write such ranges against a byte
-// buffer. Fields wider than 64 bits (IPv6 addresses, 128-bit SIDs) are
-// handled as byte spans at a higher layer.
+// Big-endian loads and stores for the fixed-offset fields of the concrete
+// header views (src/net/headers.h).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <span>
 
 namespace ipsa::util {
 
-// Reads `bit_width` bits starting at absolute bit offset `bit_offset` from
-// `data` (bit 0 = MSB of byte 0), returning them right-aligned in a uint64.
-// Requires bit_width <= 64 and the range to lie inside `data`.
-uint64_t ReadBits(std::span<const uint8_t> data, size_t bit_offset,
-                  size_t bit_width);
-
-// Writes the low `bit_width` bits of `value` into the bit range
-// [bit_offset, bit_offset + bit_width) of `data`, preserving surrounding
-// bits. Requires bit_width <= 64 and the range to lie inside `data`.
-void WriteBits(std::span<uint8_t> data, size_t bit_offset, size_t bit_width,
-               uint64_t value);
-
-// Number of bytes needed to hold `bits` bits.
-constexpr size_t BytesForBits(size_t bits) { return (bits + 7) / 8; }
-
-// Mask with the low `bits` bits set; bits == 64 yields all-ones.
-constexpr uint64_t LowMask(size_t bits) {
-  return bits >= 64 ? ~uint64_t{0} : ((uint64_t{1} << bits) - 1);
-}
-
-// Big-endian loads/stores used by header accessors.
 uint16_t LoadBe16(const uint8_t* p);
 uint32_t LoadBe32(const uint8_t* p);
-uint64_t LoadBe64(const uint8_t* p);
 void StoreBe16(uint8_t* p, uint16_t v);
 void StoreBe32(uint8_t* p, uint32_t v);
-void StoreBe64(uint8_t* p, uint64_t v);
 
 }  // namespace ipsa::util

@@ -42,15 +42,8 @@ std::string_view TrimView(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-std::string Trim(std::string_view s) { return std::string(TrimView(s)); }
-
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 std::optional<uint64_t> ParseUint(std::string_view s) {
@@ -66,12 +59,6 @@ std::optional<uint64_t> ParseUint(std::string_view s) {
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v, base);
   if (ec != std::errc() || ptr != s.data() + s.size()) return std::nullopt;
   return v;
-}
-
-std::string ToLower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
 }
 
 std::string Join(const std::vector<std::string>& items, std::string_view sep) {

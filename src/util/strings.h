@@ -17,15 +17,11 @@ std::vector<std::string> Split(std::string_view s, char sep,
 std::vector<std::string> SplitWhitespace(std::string_view s);
 
 std::string_view TrimView(std::string_view s);
-std::string Trim(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 // Parses a decimal or 0x-prefixed integer.
 std::optional<uint64_t> ParseUint(std::string_view s);
-
-std::string ToLower(std::string_view s);
 
 // Joins items with `sep`.
 std::string Join(const std::vector<std::string>& items, std::string_view sep);

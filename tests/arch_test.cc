@@ -230,6 +230,86 @@ TEST(ContextTest, RawAccessWithDynamicOffset) {
   EXPECT_EQ(seg1->GetBits(0, 16), 2u);  // low group of the SID
 }
 
+// --- wire bit ranges -------------------------------------------------------------
+
+// Known answers for the packet path's header-field codec (ReadWireBits /
+// WriteWireBits): wire bit 0 is the MSB of byte 0 and a field reads
+// big-endian. The fast-path suite checks the chunked codec against a
+// bit-by-bit reference; these pin the layout itself.
+uint64_t ReadBits(std::span<const uint8_t> data, size_t offset, size_t width) {
+  return ReadWireBits(data, offset, width).ToUint64();
+}
+
+void WriteBits(std::span<uint8_t> data, size_t offset, size_t width,
+               uint64_t value) {
+  WriteWireBits(data, offset, width, mem::BitString(width, value));
+}
+
+TEST(BitopsTest, ReadWholeBytes) {
+  uint8_t data[] = {0x12, 0x34, 0x56, 0x78};
+  EXPECT_EQ(ReadBits(data, 0, 8), 0x12u);
+  EXPECT_EQ(ReadBits(data, 8, 16), 0x3456u);
+  EXPECT_EQ(ReadBits(data, 0, 32), 0x12345678u);
+}
+
+TEST(BitopsTest, ReadSubByteFields) {
+  uint8_t data[] = {0x45, 0x00};  // IPv4 version=4, ihl=5
+  EXPECT_EQ(ReadBits(data, 0, 4), 4u);
+  EXPECT_EQ(ReadBits(data, 4, 4), 5u);
+}
+
+TEST(BitopsTest, ReadMisalignedAcrossBytes) {
+  uint8_t data[] = {0b10110110, 0b01101101};
+  EXPECT_EQ(ReadBits(data, 3, 7), 0b1011001u);
+}
+
+TEST(BitopsTest, WriteThenReadRoundTrip) {
+  uint8_t data[8] = {};
+  WriteBits(data, 5, 11, 0x5A5);
+  EXPECT_EQ(ReadBits(data, 5, 11), 0x5A5u);
+  // Surrounding bits untouched.
+  EXPECT_EQ(ReadBits(data, 0, 5), 0u);
+  EXPECT_EQ(ReadBits(data, 16, 8), 0u);
+}
+
+TEST(BitopsTest, WritePreservesNeighbors) {
+  uint8_t data[4] = {0xFF, 0xFF, 0xFF, 0xFF};
+  WriteBits(data, 8, 8, 0x00);
+  EXPECT_EQ(data[0], 0xFF);
+  EXPECT_EQ(data[1], 0x00);
+  EXPECT_EQ(data[2], 0xFF);
+}
+
+TEST(BitopsTest, Misaligned64BitField) {
+  uint8_t data[10] = {};
+  WriteBits(data, 3, 64, 0xDEADBEEFCAFEF00Dull);
+  EXPECT_EQ(ReadBits(data, 3, 64), 0xDEADBEEFCAFEF00Dull);
+}
+
+struct BitRange {
+  size_t offset;
+  size_t width;
+};
+
+class BitopsSweepTest : public ::testing::TestWithParam<BitRange> {};
+
+TEST_P(BitopsSweepTest, RoundTripAtEveryAlignment) {
+  const BitRange range = GetParam();
+  uint8_t data[16] = {};
+  const uint64_t mask = range.width == 64 ? ~uint64_t{0}
+                                          : (uint64_t{1} << range.width) - 1;
+  uint64_t value = 0xA5A5A5A5A5A5A5A5ull & mask;
+  WriteBits(data, range.offset, range.width, value);
+  EXPECT_EQ(ReadBits(data, range.offset, range.width), value);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllAlignments, BitopsSweepTest,
+    ::testing::Values(BitRange{0, 1}, BitRange{7, 1}, BitRange{1, 7},
+                      BitRange{3, 13}, BitRange{4, 20}, BitRange{9, 33},
+                      BitRange{15, 48}, BitRange{2, 64}, BitRange{8, 64},
+                      BitRange{63, 5}));
+
 // --- expressions -----------------------------------------------------------------
 
 class ExprTest : public ::testing::Test {
@@ -306,6 +386,24 @@ TEST_F(ExprTest, ParamLookupRequiresBinding) {
 }
 
 // --- actions ----------------------------------------------------------------------
+
+// Packs parameter values (declaration order) low-bits-first into the
+// action_data layout ExecuteAction reads.
+mem::BitString PackActionArgs(const ActionDef& action,
+                              const std::vector<mem::BitString>& values) {
+  mem::BitString out(action.ParamsWidthBits());
+  size_t offset = 0;
+  for (size_t i = 0; i < action.params.size(); ++i) {
+    uint32_t w = action.params[i].width_bits;
+    if (i < values.size()) {
+      for (uint32_t bit = 0; bit < w && bit < values[i].bit_width(); ++bit) {
+        out.SetBit(offset + bit, values[i].GetBit(bit));
+      }
+    }
+    offset += w;
+  }
+  return out;
+}
 
 TEST_F(ExprTest, ActionAssignAndForward) {
   ActionDef def;
@@ -564,16 +662,6 @@ TEST(StageTest, GuardFalseSkipsTable) {
 }
 
 // --- misc helpers ---------------------------------------------------------------------
-
-TEST(CatalogTest, ConcatBitsLowBitsFirst) {
-  mem::BitString a(4, 0xA);
-  mem::BitString b(8, 0xBC);
-  mem::BitString joined = ConcatBits({a, b});
-  EXPECT_EQ(joined.bit_width(), 12u);
-  EXPECT_EQ(joined.GetBits(0, 4), 0xAu);
-  EXPECT_EQ(joined.GetBits(4, 8), 0xBCu);
-  EXPECT_EQ(ConcatBits({}).bit_width(), 0u);
-}
 
 TEST(CatalogTest, DestroyUnknownTableFails) {
   mem::Pool pool{mem::PoolConfig{}};

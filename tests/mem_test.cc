@@ -409,9 +409,10 @@ TEST(CrossbarTest, ConfigWordsCounted) {
   Crossbar xbar(CrossbarKind::kFull, 4, 1);
   ASSERT_TRUE(xbar.Connect(0, 0, pool).ok());
   ASSERT_TRUE(xbar.Connect(0, 0, pool).ok());  // duplicate: no new word
-  ASSERT_TRUE(xbar.Disconnect(0, 0).ok());
+  EXPECT_EQ(xbar.DisconnectProc(0), 1u);
   EXPECT_EQ(xbar.config_words_written(), 2u);
-  EXPECT_FALSE(xbar.Disconnect(0, 0).ok());  // already gone
+  EXPECT_EQ(xbar.DisconnectProc(0), 0u);  // already gone: no new word
+  EXPECT_EQ(xbar.config_words_written(), 2u);
 }
 
 TEST(CrossbarTest, BlocksOfLists) {

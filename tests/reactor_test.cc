@@ -96,7 +96,7 @@ TEST(SourceWindow, TracksReadyFreshAndMissed) {
   EXPECT_TRUE(w.ready());
   EXPECT_TRUE(w.fresh());
   EXPECT_EQ(w.PortIn(0), 4u);
-  EXPECT_EQ(w.PortOut(0), 3u);
+  EXPECT_EQ(w.port(0)->packets_out, 3u);
   EXPECT_EQ(w.PortIn(7), 0u) << "absent port reads as quiet";
 
   EXPECT_EQ(w.Push(Snap(2, 9, 8)), 0u);  // duplicate poll
@@ -121,7 +121,7 @@ TEST(SourceWindow, ResetBetweenSnapshotsUsesCurAsWindow) {
   w.Push(Snap(2, 6, 5));
   EXPECT_TRUE(w.ready());
   EXPECT_EQ(w.PortIn(0), 6u) << "post-reset counters are the whole window";
-  EXPECT_EQ(w.PortOut(0), 5u);
+  EXPECT_EQ(w.port(0)->packets_out, 5u);
 }
 
 // --- condition evaluation ----------------------------------------------------

@@ -408,6 +408,73 @@ TEST(Protocol, BatchSizeBoundEnforced) {
   std::vector<uint8_t> bytes = w.Take();
   wire::Reader r(bytes);
   EXPECT_FALSE(TableBatchRequest::Decode(r).ok());
+
+  // A bulk frame's hostile op count fails before any op is read or
+  // reserved for; at the bound, the count outruns the payload and fails
+  // cleanly instead of reading past the end.
+  for (uint32_t count : {kMaxBatchOps + 1, kMaxBatchOps}) {
+    wire::Writer bulk;
+    bulk.U32(count);
+    bytes = bulk.Take();
+    wire::Reader br(bytes);
+    EXPECT_FALSE(TableBulkRequest::Decode(br).ok()) << count;
+  }
+  wire::Writer failures;
+  failures.U32(0);                 // applied
+  failures.U32(kMaxBatchOps + 1);  // claimed failure count
+  bytes = failures.Take();
+  wire::Reader fr(bytes);
+  EXPECT_FALSE(TableBulkResponse::Decode(fr).ok());
+}
+
+TEST(Protocol, TableBulkRequestRoundtripOverASlice) {
+  std::vector<TableOp> ops(4);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    ops[i].op = i == 2 ? TableOpKind::kModify : TableOpKind::kAdd;
+    ops[i].table = "t" + std::to_string(i);
+    ops[i].entry = TestEntry();
+    ops[i].entry.priority = static_cast<uint32_t>(i);
+  }
+  // The client frames a window of its op list in place: ops 1..2.
+  wire::Writer w;
+  TableBulkRequest::Encode(std::span(ops).subspan(1, 2), w);
+  std::vector<uint8_t> bytes = w.Take();
+  wire::Reader r(bytes);
+  auto out = TableBulkRequest::Decode(r);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_TRUE(r.AtEnd());
+  ASSERT_EQ(out->ops.size(), 2u);
+  EXPECT_EQ(out->ops[0].op, TableOpKind::kAdd);
+  EXPECT_EQ(out->ops[0].table, "t1");
+  EXPECT_EQ(out->ops[0].entry.priority, 1u);
+  EXPECT_EQ(out->ops[1].op, TableOpKind::kModify);
+  EXPECT_EQ(out->ops[1].table, "t2");
+  EXPECT_EQ(out->ops[1].entry.priority, 2u);
+  EXPECT_EQ(out->ops[1].entry.key.ToUint64(), ops[2].entry.key.ToUint64());
+  EXPECT_EQ(out->ops[1].entry.action_data.ToUint64(), 100u);
+}
+
+TEST(Protocol, TableBulkResponseRoundtrip) {
+  TableBulkResponse in;
+  in.applied = 7;
+  in.failures.push_back({3, static_cast<uint16_t>(StatusCode::kAlreadyExists),
+                         "duplicate key"});
+  in.failures.push_back({9, static_cast<uint16_t>(StatusCode::kNotFound), ""});
+  wire::Writer w;
+  in.Encode(w);
+  std::vector<uint8_t> bytes = w.Take();
+  wire::Reader r(bytes);
+  auto out = TableBulkResponse::Decode(r);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(out->applied, 7u);
+  ASSERT_EQ(out->failures.size(), 2u);
+  EXPECT_EQ(out->failures[0].index, 3u);
+  EXPECT_EQ(out->failures[0].code,
+            static_cast<uint16_t>(StatusCode::kAlreadyExists));
+  EXPECT_EQ(out->failures[0].message, "duplicate key");
+  EXPECT_EQ(out->failures[1].index, 9u);
+  EXPECT_EQ(out->failures[1].message, "");
 }
 
 TEST(Protocol, ApiSpecRoundtrip) {
