@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "compiler/rp4fc.h"
+#include "controller/designs.h"
 #include "p4lite/parser.h"
 #include "rp4/parser.h"
 #include "rp4/printer.h"
@@ -59,6 +60,32 @@ TEST(RoundTripTest, EveryExampleProgram) {
   }
   // base, base_ecmp, base_srv6, base_probe at minimum.
   EXPECT_GE(count, 4) << "examples/rp4/ lost its committed programs";
+}
+
+TEST(RoundTripTest, BuiltinP4DesignsLowerToTheCommittedExamples) {
+  // examples/rp4/ holds what rp4fc emits for the four built-in P4 designs;
+  // any change to either front end or to rp4fc that moves one byte of that
+  // output shows up here.
+  struct Pin {
+    const std::string& p4;
+    const char* file;
+  };
+  const Pin pins[] = {
+      {controller::designs::BaseP4(), "base.rp4"},
+      {controller::designs::BasePlusEcmpP4(), "base_ecmp.rp4"},
+      {controller::designs::BasePlusSrv6P4(), "base_srv6.rp4"},
+      {controller::designs::BasePlusProbeP4(), "base_probe.rp4"},
+  };
+  for (const Pin& pin : pins) {
+    auto hlir = p4lite::ParseP4(pin.p4);
+    ASSERT_TRUE(hlir.ok()) << pin.file << ": " << hlir.status().ToString();
+    auto fc = compiler::RunRp4fc(*hlir);
+    ASSERT_TRUE(fc.ok()) << pin.file << ": " << fc.status().ToString();
+    EXPECT_EQ(rp4::PrintRp4(fc->program),
+              ReadFileOrDie(std::filesystem::path(IPSA_EXAMPLES_RP4_DIR) /
+                            pin.file))
+        << pin.file;
+  }
 }
 
 TEST(RoundTripTest, GeneratedProgramsThroughRp4fc) {
