@@ -5,12 +5,18 @@
 // as Status errors, never as crashes).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "controller/controller.h"
+#include "controller/designs.h"
 #include "ipsa/ipbm.h"
 #include "p4lite/parser.h"
+#include "rp4/lexer.h"
 #include "rp4/parser.h"
+#include "rp4/printer.h"
 #include "testing/differential.h"
 #include "testing/generator.h"
 #include "util/status.h"
@@ -219,10 +225,11 @@ std::string Repeat(const std::string& s, int n) {
 }
 
 // A minimal well-formed P4lite program with an injectable action body,
-// apply body, and header-field width.
+// apply body, header-field width and action parameter list.
 std::string P4liteScaffold(const std::string& action_body,
                            const std::string& apply_body,
-                           const std::string& width) {
+                           const std::string& width,
+                           const std::string& action_params = "") {
   return "header h_t {\n"
          "  bit<" + width + "> f;\n"
          "  bit<16> sel;\n"
@@ -233,6 +240,7 @@ std::string P4liteScaffold(const std::string& action_body,
          "struct headers_t {\n"
          "  h_t h;\n"
          "}\n"
+         "register<bit<64>> r[16];\n"
          "parser MainParser(packet_in pkt, out headers_t hdr, inout metadata_t meta) {\n"
          "  state start {\n"
          "    pkt.extract(hdr.h);\n"
@@ -240,7 +248,7 @@ std::string P4liteScaffold(const std::string& action_body,
          "  }\n"
          "}\n"
          "control MainIngress(inout headers_t hdr, inout metadata_t meta) {\n"
-         "  action a() {\n" + action_body + "\n  }\n"
+         "  action a(" + action_params + ") {\n" + action_body + "\n  }\n"
          "  table t {\n"
          "    key = { meta.m: exact; }\n"
          "    actions = { a; NoAction; }\n"
@@ -301,7 +309,8 @@ TEST(FrontEndHardeningTest, P4liteHugeWidthFieldRejected) {
 // A minimal rP4 prefix: the injected defect sits early enough that the
 // remainder of the program never matters.
 std::string Rp4Scaffold(const std::string& field_width,
-                        const std::string& action_body) {
+                        const std::string& action_body,
+                        const std::string& action_params = "") {
   return "headers {\n"
          "  header h {\n"
          "    bit<" + field_width + "> f;\n"
@@ -314,7 +323,8 @@ std::string Rp4Scaffold(const std::string& field_width,
          "    bit<8> m;\n"
          "  } meta;\n"
          "}\n"
-         "action a() {\n"
+         "register<bit<64>> r[16];\n"
+         "action a(" + action_params + ") {\n"
          "  " + action_body + "\n"
          "}\n"
          "table t {\n"
@@ -374,6 +384,145 @@ TEST(FrontEndHardeningTest, Rp4ZeroWidthFieldRejected) {
 
 TEST(FrontEndHardeningTest, Rp4HugeWidthFieldRejected) {
   ExpectRp4Error(Rp4Scaffold("999999999", "meta.m = 1;"), "width");
+}
+
+// --- front-end parity --------------------------------------------------------
+//
+// The P4 and rP4 front ends share one statement/expression language, so an
+// action body must parse to the same ActionDef through either. `$` marks
+// where P4 may spell a header instance `hdr.<instance>`; the P4 front end
+// parses each body with and without that prefix, the rP4 front end without.
+
+const char* const kParityParams = "bit<9> p, bit<16> v";
+
+const char* const kParityBodies[] = {
+    // statements
+    "meta.m = 1;",
+    "$h.f = v;",
+    "r[meta.m] = v;",
+    "if (meta.m == 1) { $h.f = 2; } else { meta.m = 3; }",
+    "if ($h.isValid()) { forward(p); }",
+    "drop();",
+    "mark();",
+    "forward(p + 1);",
+    "push_header($h);",
+    "push_header($h, $h, 4);",
+    "pop_header($h);",
+    "update_checksum($h);",
+    "update_checksum($h, sel);",
+    "set_raw($h, meta.m * 8, 16, v);",
+    // expressions
+    "meta.m = true || false && !(meta.m != 0);",
+    "meta.m = $h.f | $h.sel ^ v & 0xff;",
+    "meta.m = (meta.m < 1) + (meta.m <= 2) + (meta.m > 3) + (meta.m >= 4);",
+    "meta.m = meta.m << 2 >> 1;",
+    "meta.m = meta.m + v - p * 3;",
+    "meta.m = ~meta.m;",
+    "meta.m = r[$h.sel] + r[0];",
+    "meta.m = get_raw($h, 8, 16);",
+    "meta.m = sat_add(meta.m, v);",
+    "meta.m = fxp_quantize(v, 4) + fxp_dequantize(v, 4);",
+    "meta.m = 8w255;",
+};
+
+std::string Dialect(std::string body, const std::string& prefix) {
+  for (size_t at = body.find('$'); at != std::string::npos;
+       at = body.find('$', at + prefix.size())) {
+    body.replace(at, 1, prefix);
+  }
+  return body;
+}
+
+// The printed `a` action of a P4 scaffold program, or the error.
+std::string PrintedP4Action(const std::string& body) {
+  auto hlir = p4lite::ParseP4(
+      P4liteScaffold(body, "t.apply();", "8", kParityParams));
+  if (!hlir.ok()) return "P4 error: " + hlir.status().ToString();
+  return rp4::PrintActionDef(hlir->ingress.actions.at(0));
+}
+
+std::string PrintedRp4Action(const std::string& body) {
+  auto program = rp4::ParseRp4(Rp4Scaffold("8", body, kParityParams));
+  if (!program.ok()) return "rP4 error: " + program.status().ToString();
+  return rp4::PrintActionDef(*program->FindAction("a"));
+}
+
+TEST(FrontEndParityTest, EveryActionFormParsesTheSameThroughBothFrontEnds) {
+  for (const char* body : kParityBodies) {
+    std::string rp4 = PrintedRp4Action(Dialect(body, ""));
+    EXPECT_EQ(rp4.find("error"), std::string::npos) << body << "\n" << rp4;
+    EXPECT_EQ(PrintedP4Action(Dialect(body, "")), rp4) << body;
+    EXPECT_EQ(PrintedP4Action(Dialect(body, "hdr.")), rp4) << body;
+  }
+}
+
+// --- error-path sweep ---------------------------------------------------------
+//
+// Every committed program, cut after each of its tokens, must come back from
+// its front end as a Result: the whole text parses, and no prefix crashes,
+// hangs or trips a sanitizer. Under tools/run_sanitized.sh this walks every
+// error path of both parsers.
+
+std::string ReadFileOrDie(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+template <typename ParseFn>
+void SweepPrefixes(const std::string& source, const std::string& label,
+                   ParseFn parse) {
+  auto whole = parse(source);
+  ASSERT_TRUE(whole.ok()) << label << ": " << whole.status().ToString();
+  auto tokens = rp4::Tokenize(source);
+  ASSERT_TRUE(tokens.ok()) << label;
+  for (const rp4::Token& token : *tokens) {
+    if (token.kind == rp4::TokKind::kEof) break;
+    size_t end =
+        static_cast<size_t>(token.text.data() - source.data()) +
+        token.text.size();
+    auto cut = parse(std::string_view(source).substr(0, end));
+    if (!cut.ok()) {
+      EXPECT_FALSE(cut.status().message().empty()) << label << " @" << end;
+    }
+  }
+}
+
+TEST(FrontEndHardeningTest, EveryTokenPrefixOfEveryProgramReturnsAStatus) {
+  namespace designs = controller::designs;
+  for (const std::string* p4 :
+       {&designs::BaseP4(), &designs::BasePlusEcmpP4(),
+        &designs::BasePlusSrv6P4(), &designs::BasePlusProbeP4()}) {
+    SweepPrefixes(*p4, "built-in P4", p4lite::ParseP4);
+  }
+  int rp4_files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(IPSA_EXAMPLES_RP4_DIR)) {
+    if (entry.path().extension() != ".rp4") continue;
+    ++rp4_files;
+    SweepPrefixes(ReadFileOrDie(entry.path()), entry.path().string(),
+                  rp4::ParseRp4);
+  }
+  EXPECT_GE(rp4_files, 5);
+  int cases = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(IPSA_CORPUS_DIR)) {
+    if (entry.path().extension() != ".rp4fuzz") continue;
+    auto cf = ParseCaseFile(ReadFileOrDie(entry.path()));
+    ASSERT_TRUE(cf.ok()) << entry.path();
+    ++cases;
+    SweepPrefixes(cf->p4_v1, entry.path().string(), p4lite::ParseP4);
+    if (!cf->p4_v2.empty()) {
+      SweepPrefixes(cf->p4_v2, entry.path().string() + " v2",
+                    p4lite::ParseP4);
+    }
+    if (!cf->snippet.empty()) {
+      SweepPrefixes(cf->snippet, entry.path().string() + " snippet",
+                    rp4::ParseRp4Snippet);
+    }
+  }
+  EXPECT_GE(cases, 12);
 }
 
 }  // namespace
