@@ -16,7 +16,6 @@ using arch::MatchRule;
 using arch::StageProgram;
 using p4lite::HlirApplyNode;
 using p4lite::HlirControl;
-using p4lite::HlirTable;
 
 ExprPtr Conjoin(const ExprPtr& a, const ExprPtr& b) {
   if (a == nullptr) return b;
@@ -24,7 +23,7 @@ ExprPtr Conjoin(const ExprPtr& a, const ExprPtr& b) {
   return Expr::Binary(Expr::Op::kAnd, a, b);
 }
 
-const HlirTable* FindTable(const HlirControl& control,
+const rp4::Rp4TableDecl* FindTable(const HlirControl& control,
                            std::string_view name) {
   for (const auto& t : control.tables) {
     if (t.name == name) return &t;
@@ -38,7 +37,7 @@ Status FillExecutor(const HlirControl& control, StageProgram& stage) {
   std::set<std::string> seen;
   for (const MatchRule& rule : stage.matcher) {
     if (rule.table.empty()) continue;
-    const HlirTable* t = FindTable(control, rule.table);
+    const rp4::Rp4TableDecl* t = FindTable(control, rule.table);
     if (t == nullptr) {
       return NotFound("apply of unknown table '" + rule.table + "'");
     }

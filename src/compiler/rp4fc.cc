@@ -147,21 +147,8 @@ Result<Rp4fcResult> RunRp4fc(const p4lite::Hlir& hlir) {
   for (const auto& a : hlir.egress.actions) prog.actions.push_back(a);
 
   // Tables.
-  auto convert_tables = [&prog](const p4lite::HlirControl& control) {
-    for (const auto& t : control.tables) {
-      rp4::Rp4TableDecl decl;
-      decl.name = t.name;
-      decl.size = t.size;
-      decl.default_action = t.default_action;
-      for (const auto& kf : t.key) {
-        decl.key.push_back(rp4::Rp4KeyField{kf.field, kf.match_type});
-      }
-      decl.actions = t.actions;
-      prog.tables.push_back(std::move(decl));
-    }
-  };
-  convert_tables(hlir.ingress);
-  convert_tables(hlir.egress);
+  for (const auto& t : hlir.ingress.tables) prog.tables.push_back(t);
+  for (const auto& t : hlir.egress.tables) prog.tables.push_back(t);
 
   // Stages from the apply trees.
   IPSA_ASSIGN_OR_RETURN(prog.ingress_stages,

@@ -17,6 +17,7 @@
 
 #include "arch/actions.h"
 #include "arch/header_types.h"
+#include "rp4/ast.h"
 #include "util/status.h"
 
 namespace ipsa::p4lite {
@@ -31,19 +32,6 @@ struct HlirParseState {
   std::string default_transition = "accept";
 };
 
-struct HlirKeyField {
-  arch::FieldRef field;
-  std::string match_type;  // exact | lpm | ternary | selector/hash
-};
-
-struct HlirTable {
-  std::string name;
-  std::vector<HlirKeyField> key;
-  std::vector<std::string> actions;  // in declaration order; ids follow this
-  uint32_t size = 1024;
-  std::string default_action = "NoAction";
-};
-
 // Control-flow tree of an `apply { ... }` block.
 struct HlirApplyNode {
   enum class Kind { kSeq, kApply, kIf };
@@ -56,7 +44,8 @@ struct HlirApplyNode {
 
 struct HlirControl {
   std::string name;
-  std::vector<HlirTable> tables;
+  // Action lists keep declaration order; action ids follow it.
+  std::vector<rp4::Rp4TableDecl> tables;
   std::vector<arch::ActionDef> actions;
   HlirApplyNode apply;  // kSeq root
 };

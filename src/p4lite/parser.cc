@@ -1,27 +1,25 @@
 #include "p4lite/parser.h"
 
-#include <set>
+#include <optional>
 
-#include "rp4/lexer.h"
+#include "rp4/action_parser.h"
 
 namespace ipsa::p4lite {
 
 namespace {
 
 using arch::ActionDef;
-using arch::ActionOp;
-using arch::ActionParam;
-using arch::Expr;
-using arch::ExprPtr;
-using arch::FieldDef;
-using arch::FieldRef;
-using rp4::TokenCursor;
-using rp4::TokKind;
+using rp4::Rp4FieldDecl;
 using rp4::Token;
 
-class Parser {
+// The P4 front end: the parser state machine, control apply trees and
+// structs are its own; fields, actions, tables, registers, statements and
+// expressions come from the shared rP4 grammar in the P4 dialect.
+class Parser : public rp4::ActionParser {
  public:
-  explicit Parser(TokenCursor cursor) : cur_(std::move(cursor)) {}
+  explicit Parser(std::vector<Token> tokens)
+      : ActionParser(std::move(tokens), "hdr",
+                     {"meta", "standard_metadata"}) {}
 
   Result<Hlir> ParseProgram() {
     while (!cur_.AtEnd()) {
@@ -31,7 +29,8 @@ class Parser {
       } else if (t.IsIdent("struct")) {
         IPSA_RETURN_IF_ERROR(ParseStruct());
       } else if (t.IsIdent("register")) {
-        IPSA_RETURN_IF_ERROR(ParseRegister());
+        IPSA_ASSIGN_OR_RETURN(rp4::Rp4RegisterDecl reg, ParseRegister());
+        hlir_.registers.emplace_back(std::move(reg.name), reg.size);
       } else if (t.IsIdent("parser")) {
         IPSA_RETURN_IF_ERROR(ParseParser());
       } else if (t.IsIdent("control")) {
@@ -44,62 +43,20 @@ class Parser {
   }
 
  private:
-  // Nesting caps: the grammar is recursive-descent, so unchecked nesting
-  // depth is unchecked C++ stack depth — adversarial input like thousands of
-  // nested parentheses must fail with a Status, not a stack overflow.
-  static constexpr int kMaxNesting = 64;
-  // Field widths outside [1, 4096] are rejected up front: width 0 has no
-  // packet representation, and a giant width would size device buffers (and
-  // keys, and action data) proportionally.
-  static constexpr uint64_t kMaxFieldWidth = 4096;
-
-  Result<uint32_t> CheckWidth(uint64_t width) {
-    if (width == 0 || width > kMaxFieldWidth) {
-      return Status(StatusCode::kInvalidArgument,
-                    "p4lite: field width " + std::to_string(width) +
-                        " outside [1, " + std::to_string(kMaxFieldWidth) +
-                        "]");
-    }
-    return static_cast<uint32_t>(width);
-  }
-
-  struct NestingGuard {
-    explicit NestingGuard(int& depth) : depth_(depth) { ++depth_; }
-    ~NestingGuard() { --depth_; }
-    int& depth_;
-  };
-
   Status ParseHeaderType() {
     cur_.Next();  // header
     IPSA_ASSIGN_OR_RETURN(std::string name, cur_.ExpectIdent());
     IPSA_RETURN_IF_ERROR(cur_.Expect("{"));
-    std::vector<FieldDef> fields;
+    std::vector<arch::FieldDef> fields;
     std::optional<arch::VarSizeRule> varsize;
     while (!cur_.TryConsume("}")) {
       if (cur_.Peek().IsIdent("varsize")) {
-        cur_.Next();
-        IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-        arch::VarSizeRule rule;
-        IPSA_ASSIGN_OR_RETURN(rule.len_field, cur_.ExpectIdent());
-        IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-        IPSA_ASSIGN_OR_RETURN(uint64_t add, cur_.ExpectNumber());
-        rule.add = static_cast<uint32_t>(add);
-        IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-        IPSA_ASSIGN_OR_RETURN(uint64_t mult, cur_.ExpectNumber());
-        rule.multiplier = static_cast<uint32_t>(mult);
-        IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-        IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-        varsize = rule;
+        IPSA_ASSIGN_OR_RETURN(rp4::Rp4VarSizeDecl vs, ParseVarSize());
+        varsize = arch::VarSizeRule{vs.len_field, vs.add, vs.multiplier};
         continue;
       }
-      IPSA_RETURN_IF_ERROR(cur_.Expect("bit"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect("<"));
-      IPSA_ASSIGN_OR_RETURN(uint64_t raw_width, cur_.ExpectNumber());
-      IPSA_ASSIGN_OR_RETURN(uint32_t width, CheckWidth(raw_width));
-      IPSA_RETURN_IF_ERROR(cur_.Expect(">"));
-      IPSA_ASSIGN_OR_RETURN(std::string fname, cur_.ExpectIdent());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      fields.push_back(FieldDef{fname, width});
+      IPSA_ASSIGN_OR_RETURN(Rp4FieldDecl field, ParseFieldDecl());
+      fields.push_back(arch::FieldDef{field.name, field.width_bits});
     }
     arch::HeaderTypeDef def(name, std::move(fields));
     if (varsize.has_value()) def.SetVarSize(*varsize);
@@ -115,15 +72,9 @@ class Parser {
     while (!cur_.TryConsume("}")) {
       if (cur_.Peek().IsIdent("bit")) {
         // metadata member
-        cur_.Next();
-        IPSA_RETURN_IF_ERROR(cur_.Expect("<"));
-        IPSA_ASSIGN_OR_RETURN(uint64_t raw_width, cur_.ExpectNumber());
-        IPSA_ASSIGN_OR_RETURN(uint32_t width, CheckWidth(raw_width));
-        IPSA_RETURN_IF_ERROR(cur_.Expect(">"));
-        IPSA_ASSIGN_OR_RETURN(std::string fname, cur_.ExpectIdent());
-        IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
+        IPSA_ASSIGN_OR_RETURN(Rp4FieldDecl field, ParseFieldDecl());
         if (!is_headers) {
-          hlir_.metadata.emplace_back(fname, width);
+          hlir_.metadata.emplace_back(field.name, field.width_bits);
         }
       } else {
         // header instance: <type> <instance>;
@@ -136,29 +87,6 @@ class Parser {
       }
     }
     cur_.TryConsume(";");
-    return OkStatus();
-  }
-
-  Status ParseRegister() {
-    cur_.Next();  // register
-    if (cur_.TryConsume("<")) {
-      IPSA_RETURN_IF_ERROR(cur_.Expect("bit"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect("<"));
-      IPSA_ASSIGN_OR_RETURN(uint64_t width, cur_.ExpectNumber());
-      (void)width;
-      // The closing brackets lex as one ">>" token.
-      if (!cur_.TryConsume(">>")) {
-        IPSA_RETURN_IF_ERROR(cur_.Expect(">"));
-        IPSA_RETURN_IF_ERROR(cur_.Expect(">"));
-      }
-    }
-    IPSA_ASSIGN_OR_RETURN(std::string name, cur_.ExpectIdent());
-    IPSA_RETURN_IF_ERROR(cur_.Expect("["));
-    IPSA_ASSIGN_OR_RETURN(uint64_t size, cur_.ExpectNumber());
-    IPSA_RETURN_IF_ERROR(cur_.Expect("]"));
-    IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-    register_names_.insert(name);
-    registers_.emplace_back(name, static_cast<uint32_t>(size));
     return OkStatus();
   }
 
@@ -247,7 +175,7 @@ class Parser {
         IPSA_ASSIGN_OR_RETURN(ActionDef def, ParseAction());
         control.actions.push_back(std::move(def));
       } else if (t.IsIdent("table")) {
-        IPSA_ASSIGN_OR_RETURN(HlirTable table, ParseTable());
+        IPSA_ASSIGN_OR_RETURN(rp4::Rp4TableDecl table, ParseTable());
         control.tables.push_back(std::move(table));
       } else if (t.IsIdent("apply")) {
         cur_.Next();
@@ -265,74 +193,6 @@ class Parser {
       hlir_.egress = std::move(control);
     }
     return OkStatus();
-  }
-
-  Result<ActionDef> ParseAction() {
-    cur_.Next();  // action
-    ActionDef def;
-    IPSA_ASSIGN_OR_RETURN(def.name, cur_.ExpectIdent());
-    IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-    param_names_.clear();
-    if (!cur_.TryConsume(")")) {
-      while (true) {
-        IPSA_RETURN_IF_ERROR(cur_.Expect("bit"));
-        IPSA_RETURN_IF_ERROR(cur_.Expect("<"));
-        IPSA_ASSIGN_OR_RETURN(uint64_t raw_width, cur_.ExpectNumber());
-        IPSA_ASSIGN_OR_RETURN(uint32_t width, CheckWidth(raw_width));
-        IPSA_RETURN_IF_ERROR(cur_.Expect(">"));
-        IPSA_ASSIGN_OR_RETURN(std::string name, cur_.ExpectIdent());
-        def.params.push_back(ActionParam{name, width});
-        param_names_.insert(name);
-        if (cur_.TryConsume(")")) break;
-        IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-      }
-    }
-    IPSA_RETURN_IF_ERROR(cur_.Expect("{"));
-    IPSA_ASSIGN_OR_RETURN(def.body, ParseStatements());
-    param_names_.clear();
-    return def;
-  }
-
-  Result<HlirTable> ParseTable() {
-    cur_.Next();  // table
-    HlirTable table;
-    IPSA_ASSIGN_OR_RETURN(table.name, cur_.ExpectIdent());
-    IPSA_RETURN_IF_ERROR(cur_.Expect("{"));
-    while (!cur_.TryConsume("}")) {
-      if (cur_.TryConsume("key")) {
-        IPSA_RETURN_IF_ERROR(cur_.Expect("="));
-        IPSA_RETURN_IF_ERROR(cur_.Expect("{"));
-        while (!cur_.TryConsume("}")) {
-          HlirKeyField kf;
-          IPSA_ASSIGN_OR_RETURN(kf.field, ParseFieldRef());
-          IPSA_RETURN_IF_ERROR(cur_.Expect(":"));
-          IPSA_ASSIGN_OR_RETURN(kf.match_type, cur_.ExpectIdent());
-          IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-          table.key.push_back(std::move(kf));
-        }
-      } else if (cur_.TryConsume("actions")) {
-        IPSA_RETURN_IF_ERROR(cur_.Expect("="));
-        IPSA_RETURN_IF_ERROR(cur_.Expect("{"));
-        while (!cur_.TryConsume("}")) {
-          IPSA_ASSIGN_OR_RETURN(std::string name, cur_.ExpectIdent());
-          table.actions.push_back(std::move(name));
-          cur_.TryConsume(";");
-          cur_.TryConsume(",");
-        }
-      } else if (cur_.TryConsume("size")) {
-        IPSA_RETURN_IF_ERROR(cur_.Expect("="));
-        IPSA_ASSIGN_OR_RETURN(uint64_t size, cur_.ExpectNumber());
-        table.size = static_cast<uint32_t>(size);
-        IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      } else if (cur_.TryConsume("default_action")) {
-        IPSA_RETURN_IF_ERROR(cur_.Expect("="));
-        IPSA_ASSIGN_OR_RETURN(table.default_action, cur_.ExpectIdent());
-        IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      } else {
-        return cur_.ErrorHere("unexpected token in table body");
-      }
-    }
-    return table;
   }
 
   Result<std::vector<HlirApplyNode>> ParseApplyBlock() {
@@ -391,333 +251,15 @@ class Parser {
     return node;
   }
 
-  // --- statements & expressions (rP4-compatible surface) -----------------
-
-  Result<std::vector<ActionOp>> ParseStatements() {
-    std::vector<ActionOp> ops;
-    while (!cur_.TryConsume("}")) {
-      IPSA_ASSIGN_OR_RETURN(ActionOp op, ParseStatement());
-      ops.push_back(std::move(op));
-    }
-    return ops;
-  }
-
-  Result<ActionOp> ParseStatement() {
-    if (stmt_depth_ >= kMaxNesting) {
-      return cur_.ErrorHere("statement nesting too deep");
-    }
-    NestingGuard guard(stmt_depth_);
-    const Token& t = cur_.Peek();
-    if (t.IsIdent("if")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr cond, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect("{"));
-      IPSA_ASSIGN_OR_RETURN(std::vector<ActionOp> then_ops, ParseStatements());
-      std::vector<ActionOp> else_ops;
-      if (cur_.TryConsume("else")) {
-        IPSA_RETURN_IF_ERROR(cur_.Expect("{"));
-        IPSA_ASSIGN_OR_RETURN(else_ops, ParseStatements());
-      }
-      return ActionOp::If(std::move(cond), std::move(then_ops),
-                          std::move(else_ops));
-    }
-    if (t.IsIdent("drop") || t.IsIdent("mark_to_drop")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      cur_.TryConsume("standard_metadata");  // mark_to_drop(standard_metadata)
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      return ActionOp::Drop();
-    }
-    if (t.IsIdent("mark")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      return ActionOp::Mark();
-    }
-    if (t.IsIdent("forward")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr port, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      return ActionOp::Forward(std::move(port));
-    }
-    if (t.IsIdent("push_header")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(std::string header, ParseInstanceName());
-      std::string after;
-      ExprPtr size;
-      if (cur_.TryConsume(",")) {
-        IPSA_ASSIGN_OR_RETURN(after, ParseInstanceName());
-        if (cur_.TryConsume(",")) {
-          IPSA_ASSIGN_OR_RETURN(size, ParseExpr());
-        }
-      }
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      return ActionOp::PushHeader(std::move(header), std::move(after),
-                                  std::move(size));
-    }
-    if (t.IsIdent("pop_header")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(std::string header, ParseInstanceName());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      return ActionOp::PopHeader(std::move(header));
-    }
-    if (t.IsIdent("update_checksum")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(std::string instance, ParseInstanceName());
-      std::string field = "hdr_checksum";
-      if (cur_.TryConsume(",")) {
-        IPSA_ASSIGN_OR_RETURN(field, cur_.ExpectIdent());
-      }
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      return ActionOp::UpdateChecksum(std::move(instance), std::move(field));
-    }
-    if (t.IsIdent("set_raw")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(std::string instance, ParseInstanceName());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr offset, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-      IPSA_ASSIGN_OR_RETURN(uint64_t width, cur_.ExpectNumber());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr value, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      return ActionOp::AssignRaw(std::move(instance), std::move(offset),
-                                 static_cast<uint32_t>(width),
-                                 std::move(value));
-    }
-    if (t.kind == TokKind::kIdent) {
-      IPSA_ASSIGN_OR_RETURN(std::string first, cur_.ExpectIdent());
-      if (cur_.TryConsume("[")) {
-        if (register_names_.count(first) == 0) {
-          return cur_.ErrorHere("'" + first + "' is not a register");
-        }
-        IPSA_ASSIGN_OR_RETURN(ExprPtr index, ParseExpr());
-        IPSA_RETURN_IF_ERROR(cur_.Expect("]"));
-        IPSA_RETURN_IF_ERROR(cur_.Expect("="));
-        IPSA_ASSIGN_OR_RETURN(ExprPtr value, ParseExpr());
-        IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-        return ActionOp::RegWrite(std::move(first), std::move(index),
-                                  std::move(value));
-      }
-      IPSA_ASSIGN_OR_RETURN(FieldRef dest, FinishFieldRef(first));
-      IPSA_RETURN_IF_ERROR(cur_.Expect("="));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr value, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      return ActionOp::Assign(std::move(dest), std::move(value));
-    }
-    return cur_.ErrorHere("expected statement");
-  }
-
-  // In P4, header instances appear as `hdr.<instance>`; accept bare names
-  // too so shared snippets work.
-  Result<std::string> ParseInstanceName() {
-    IPSA_ASSIGN_OR_RETURN(std::string first, cur_.ExpectIdent());
-    if (first == "hdr") {
-      IPSA_RETURN_IF_ERROR(cur_.Expect("."));
-      return cur_.ExpectIdent();
-    }
-    return first;
-  }
-
-  // `first` is the leading identifier, already consumed; completes a field
-  // reference (`hdr.x.f`, `meta.f`, `standard_metadata.f`).
-  Result<FieldRef> FinishFieldRef(const std::string& first) {
-    IPSA_RETURN_IF_ERROR(cur_.Expect("."));
-    IPSA_ASSIGN_OR_RETURN(std::string second, cur_.ExpectIdent());
-    if (first == "meta" || first == "standard_metadata") {
-      return FieldRef::Meta(second);
-    }
-    if (first == "hdr") {
-      IPSA_RETURN_IF_ERROR(cur_.Expect("."));
-      IPSA_ASSIGN_OR_RETURN(std::string third, cur_.ExpectIdent());
-      return FieldRef::Header(second, third);
-    }
-    return FieldRef::Header(first, second);
-  }
-
-  Result<FieldRef> ParseFieldRef() {
-    IPSA_ASSIGN_OR_RETURN(std::string first, cur_.ExpectIdent());
-    return FinishFieldRef(first);
-  }
-
-  Result<ExprPtr> ParseExpr() {
-    if (expr_depth_ >= kMaxNesting) {
-      return cur_.ErrorHere("expression nesting too deep");
-    }
-    NestingGuard guard(expr_depth_);
-    return ParseBinary(0);
-  }
-
-  struct Level {
-    std::string_view token;
-    Expr::Op op;
-  };
-
-  Result<ExprPtr> ParseBinary(int level) {
-    static const std::vector<std::vector<Level>> kLevels = {
-        {{"||", Expr::Op::kOr}},
-        {{"&&", Expr::Op::kAnd}},
-        {{"|", Expr::Op::kBitOr}},
-        {{"^", Expr::Op::kBitXor}},
-        {{"&", Expr::Op::kBitAnd}},
-        {{"==", Expr::Op::kEq}, {"!=", Expr::Op::kNe}},
-        {{"<", Expr::Op::kLt},
-         {"<=", Expr::Op::kLe},
-         {">", Expr::Op::kGt},
-         {">=", Expr::Op::kGe}},
-        {{"<<", Expr::Op::kShl}, {">>", Expr::Op::kShr}},
-        {{"+", Expr::Op::kAdd}, {"-", Expr::Op::kSub}},
-        {{"*", Expr::Op::kMul}},
-    };
-    if (level >= static_cast<int>(kLevels.size())) return ParseUnary();
-    IPSA_ASSIGN_OR_RETURN(ExprPtr lhs, ParseBinary(level + 1));
-    while (true) {
-      bool matched = false;
-      for (const Level& l : kLevels[static_cast<size_t>(level)]) {
-        if (cur_.Peek().kind == TokKind::kPunct && cur_.Peek().Is(l.token)) {
-          cur_.Next();
-          IPSA_ASSIGN_OR_RETURN(ExprPtr rhs, ParseBinary(level + 1));
-          lhs = Expr::Binary(l.op, std::move(lhs), std::move(rhs));
-          matched = true;
-          break;
-        }
-      }
-      if (!matched) break;
-    }
-    return lhs;
-  }
-
-  Result<ExprPtr> ParseUnary() {
-    if (cur_.TryConsume("!")) {
-      IPSA_ASSIGN_OR_RETURN(ExprPtr a, ParseUnary());
-      return Expr::Unary(Expr::Op::kNot, std::move(a));
-    }
-    if (cur_.TryConsume("~")) {
-      IPSA_ASSIGN_OR_RETURN(ExprPtr a, ParseUnary());
-      return Expr::Unary(Expr::Op::kBitNot, std::move(a));
-    }
-    return ParsePrimary();
-  }
-
-  Result<ExprPtr> ParsePrimary() {
-    const Token& t = cur_.Peek();
-    if (t.kind == TokKind::kNumber) {
-      cur_.Next();
-      return Expr::ConstU(t.number);
-    }
-    if (cur_.TryConsume("(")) {
-      IPSA_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      return e;
-    }
-    if (t.kind != TokKind::kIdent) {
-      return cur_.ErrorHere("expected expression");
-    }
-    IPSA_ASSIGN_OR_RETURN(std::string first, cur_.ExpectIdent());
-    if (first == "true") return Expr::ConstU(1, 1);
-    if (first == "false") return Expr::ConstU(0, 1);
-    if (first == "get_raw") {
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(std::string instance, ParseInstanceName());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr offset, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-      IPSA_ASSIGN_OR_RETURN(uint64_t width, cur_.ExpectNumber());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      return Expr::Raw(std::move(instance), std::move(offset),
-                       static_cast<uint32_t>(width));
-    }
-    if (first == "sat_add" || first == "fxp_quantize" ||
-        first == "fxp_dequantize") {
-      Expr::Op op = first == "sat_add"        ? Expr::Op::kSatAdd
-                    : first == "fxp_quantize" ? Expr::Op::kFxpQuantize
-                                              : Expr::Op::kFxpDequantize;
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr a, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr b, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      return Expr::Binary(op, std::move(a), std::move(b));
-    }
-    if (cur_.Peek().Is("[")) {
-      cur_.Next();
-      if (register_names_.count(first) == 0) {
-        return cur_.ErrorHere("'" + first + "' is not a register");
-      }
-      IPSA_ASSIGN_OR_RETURN(ExprPtr index, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect("]"));
-      return Expr::Register(std::move(first), std::move(index));
-    }
-    if (cur_.Peek().Is(".")) {
-      // hdr.x.f / meta.f / hdr.x.isValid()
-      if (first == "hdr") {
-        cur_.Next();
-        IPSA_ASSIGN_OR_RETURN(std::string inst, cur_.ExpectIdent());
-        IPSA_RETURN_IF_ERROR(cur_.Expect("."));
-        IPSA_ASSIGN_OR_RETURN(std::string third, cur_.ExpectIdent());
-        if (third == "isValid") {
-          IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-          IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-          return Expr::IsValid(std::move(inst));
-        }
-        return Expr::Field(FieldRef::Header(inst, third));
-      }
-      cur_.Next();
-      IPSA_ASSIGN_OR_RETURN(std::string second, cur_.ExpectIdent());
-      if (second == "isValid") {
-        IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-        IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-        return Expr::IsValid(std::move(first));
-      }
-      if (first == "meta" || first == "standard_metadata") {
-        return Expr::Field(FieldRef::Meta(second));
-      }
-      return Expr::Field(FieldRef::Header(first, second));
-    }
-    if (param_names_.count(first) > 0) {
-      return Expr::Param(std::move(first));
-    }
-    return cur_.ErrorHere("unknown identifier '" + first + "' in expression");
-  }
-
-  TokenCursor cur_;
   Hlir hlir_;
-  int expr_depth_ = 0;
-  int stmt_depth_ = 0;
   bool have_ingress_ = false;
-  std::set<std::string> param_names_;
-  std::set<std::string> register_names_;
-
- public:
-  std::vector<std::pair<std::string, uint32_t>> registers_;
 };
 
 }  // namespace
 
 Result<Hlir> ParseP4(std::string_view source) {
-  IPSA_ASSIGN_OR_RETURN(std::vector<rp4::Token> tokens,
-                        rp4::Tokenize(source));
-  Parser parser{TokenCursor(std::move(tokens))};
-  IPSA_ASSIGN_OR_RETURN(Hlir hlir, parser.ParseProgram());
-  // Registers parsed at top level attach to the HLIR.
-  for (auto& [name, size] : parser.registers_) {
-    hlir.registers.emplace_back(name, size);
-  }
-  return hlir;
+  IPSA_ASSIGN_OR_RETURN(std::vector<Token> tokens, rp4::Tokenize(source));
+  return Parser(std::move(tokens)).ParseProgram();
 }
 
 }  // namespace ipsa::p4lite

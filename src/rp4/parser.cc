@@ -1,29 +1,25 @@
 #include "rp4/parser.h"
 
-#include <set>
-
-#include "rp4/lexer.h"
+#include "rp4/action_parser.h"
 
 namespace ipsa::rp4 {
 
 namespace {
 
-using arch::ActionDef;
-using arch::ActionOp;
-using arch::ActionParam;
-using arch::Expr;
 using arch::ExprPtr;
-using arch::FieldRef;
 using arch::MatchRule;
 using arch::StageProgram;
 
-class Parser {
+// The rP4 front end: the headers/structs sections, stages and user_funcs are
+// its own; fields, actions, tables, registers, statements and expressions
+// come from the shared grammar. Header instances have no prefix, and every
+// struct alias joins `meta` as a metadata scope.
+class Parser : public ActionParser {
  public:
-  explicit Parser(TokenCursor cursor) : cur_(std::move(cursor)) {}
+  explicit Parser(std::vector<Token> tokens)
+      : ActionParser(std::move(tokens), "", {"meta"}) {}
 
   Result<Rp4Program> ParseProgram(bool snippet) {
-    snippet_ = snippet;
-    struct_aliases_.insert("meta");  // standard metadata is always visible
     while (!cur_.AtEnd()) {
       const Token& t = cur_.Peek();
       if (t.IsIdent("headers")) {
@@ -35,15 +31,18 @@ class Parser {
         cur_.Next();
         IPSA_RETURN_IF_ERROR(ParseHeader());
       } else if (t.IsIdent("register")) {
-        IPSA_RETURN_IF_ERROR(ParseRegister());
+        IPSA_ASSIGN_OR_RETURN(Rp4RegisterDecl reg, ParseRegister());
+        prog_.registers.push_back(std::move(reg));
       } else if (t.IsIdent("action")) {
-        IPSA_RETURN_IF_ERROR(ParseAction());
+        IPSA_ASSIGN_OR_RETURN(arch::ActionDef action, ParseAction());
+        prog_.actions.push_back(std::move(action));
       } else if (t.IsIdent("table")) {
-        IPSA_RETURN_IF_ERROR(ParseTable());
+        IPSA_ASSIGN_OR_RETURN(Rp4TableDecl table, ParseTable());
+        prog_.tables.push_back(std::move(table));
       } else if (t.IsIdent("control")) {
         IPSA_RETURN_IF_ERROR(ParseControl());
       } else if (t.IsIdent("stage")) {
-        if (!snippet_) {
+        if (!snippet) {
           return cur_.ErrorHere(
               "bare 'stage' only allowed in snippets; wrap in a control");
         }
@@ -65,20 +64,6 @@ class Parser {
   }
 
  private:
-  // Nesting caps (see p4lite/parser.cc): recursive-descent depth is C++
-  // stack depth, so adversarial nesting must fail with a Status, never a
-  // stack overflow. Width bounds match the p4lite front-end.
-  static constexpr int kMaxNesting = 64;
-  static constexpr uint64_t kMaxFieldWidth = 4096;
-
-  struct NestingGuard {
-    explicit NestingGuard(int& depth) : depth_(depth) { ++depth_; }
-    ~NestingGuard() { --depth_; }
-    int& depth_;
-  };
-
-  // --- declarations --------------------------------------------------------
-
   Status ParseHeadersSection() {
     cur_.Next();  // headers
     IPSA_RETURN_IF_ERROR(cur_.Expect("{"));
@@ -99,19 +84,7 @@ class Parser {
         IPSA_ASSIGN_OR_RETURN(Rp4FieldDecl field, ParseFieldDecl());
         header.fields.push_back(std::move(field));
       } else if (cur_.Peek().IsIdent("varsize")) {
-        cur_.Next();
-        IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-        Rp4VarSizeDecl vs;
-        IPSA_ASSIGN_OR_RETURN(vs.len_field, cur_.ExpectIdent());
-        IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-        IPSA_ASSIGN_OR_RETURN(uint64_t add, cur_.ExpectNumber());
-        vs.add = static_cast<uint32_t>(add);
-        IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-        IPSA_ASSIGN_OR_RETURN(uint64_t mult, cur_.ExpectNumber());
-        vs.multiplier = static_cast<uint32_t>(mult);
-        IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-        IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-        header.varsize = vs;
+        IPSA_ASSIGN_OR_RETURN(header.varsize, ParseVarSize());
       } else if (cur_.Peek().IsIdent("implicit")) {
         cur_.Next();
         IPSA_RETURN_IF_ERROR(cur_.Expect("parser"));
@@ -136,24 +109,6 @@ class Parser {
     return OkStatus();
   }
 
-  Result<Rp4FieldDecl> ParseFieldDecl() {
-    IPSA_RETURN_IF_ERROR(cur_.Expect("bit"));
-    IPSA_RETURN_IF_ERROR(cur_.Expect("<"));
-    IPSA_ASSIGN_OR_RETURN(uint64_t width, cur_.ExpectNumber());
-    if (width == 0 || width > kMaxFieldWidth) {
-      return Status(StatusCode::kInvalidArgument,
-                    "rp4: field width " + std::to_string(width) +
-                        " outside [1, " + std::to_string(kMaxFieldWidth) +
-                        "]");
-    }
-    IPSA_RETURN_IF_ERROR(cur_.Expect(">"));
-    Rp4FieldDecl field;
-    field.width_bits = static_cast<uint32_t>(width);
-    IPSA_ASSIGN_OR_RETURN(field.name, cur_.ExpectIdent());
-    IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-    return field;
-  }
-
   Status ParseStructsSection() {
     cur_.Next();  // structs
     IPSA_RETURN_IF_ERROR(cur_.Expect("{"));
@@ -168,108 +123,11 @@ class Parser {
       }
       if (cur_.Peek().kind == TokKind::kIdent) {
         IPSA_ASSIGN_OR_RETURN(s.alias, cur_.ExpectIdent());
-        struct_aliases_.insert(s.alias);
+        AddMetadataScope(s.alias);
       }
       IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
       prog_.structs.push_back(std::move(s));
     }
-    return OkStatus();
-  }
-
-  Status ParseRegister() {
-    cur_.Next();  // register
-    Rp4RegisterDecl reg;
-    if (cur_.TryConsume("<")) {
-      IPSA_RETURN_IF_ERROR(cur_.Expect("bit"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect("<"));
-      IPSA_ASSIGN_OR_RETURN(uint64_t width, cur_.ExpectNumber());
-      reg.width_bits = static_cast<uint32_t>(width);
-      // The closing brackets lex as one ">>" token.
-      if (!cur_.TryConsume(">>")) {
-        IPSA_RETURN_IF_ERROR(cur_.Expect(">"));
-        IPSA_RETURN_IF_ERROR(cur_.Expect(">"));
-      }
-    }
-    IPSA_ASSIGN_OR_RETURN(reg.name, cur_.ExpectIdent());
-    IPSA_RETURN_IF_ERROR(cur_.Expect("["));
-    IPSA_ASSIGN_OR_RETURN(uint64_t size, cur_.ExpectNumber());
-    reg.size = static_cast<uint32_t>(size);
-    IPSA_RETURN_IF_ERROR(cur_.Expect("]"));
-    IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-    register_names_.insert(reg.name);
-    prog_.registers.push_back(std::move(reg));
-    return OkStatus();
-  }
-
-  Status ParseAction() {
-    cur_.Next();  // action
-    ActionDef def;
-    IPSA_ASSIGN_OR_RETURN(def.name, cur_.ExpectIdent());
-    IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-    param_names_.clear();
-    if (!cur_.TryConsume(")")) {
-      while (true) {
-        IPSA_RETURN_IF_ERROR(cur_.Expect("bit"));
-        IPSA_RETURN_IF_ERROR(cur_.Expect("<"));
-        IPSA_ASSIGN_OR_RETURN(uint64_t width, cur_.ExpectNumber());
-        IPSA_RETURN_IF_ERROR(cur_.Expect(">"));
-        IPSA_ASSIGN_OR_RETURN(std::string name, cur_.ExpectIdent());
-        def.params.push_back(
-            ActionParam{name, static_cast<uint32_t>(width)});
-        param_names_.insert(name);
-        if (cur_.TryConsume(")")) break;
-        IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-      }
-    }
-    IPSA_RETURN_IF_ERROR(cur_.Expect("{"));
-    IPSA_ASSIGN_OR_RETURN(def.body, ParseStatements());
-    param_names_.clear();
-    prog_.actions.push_back(std::move(def));
-    return OkStatus();
-  }
-
-  Status ParseTable() {
-    cur_.Next();  // table
-    Rp4TableDecl table;
-    IPSA_ASSIGN_OR_RETURN(table.name, cur_.ExpectIdent());
-    IPSA_RETURN_IF_ERROR(cur_.Expect("{"));
-    while (!cur_.TryConsume("}")) {
-      if (cur_.TryConsume("key")) {
-        IPSA_RETURN_IF_ERROR(cur_.Expect("="));
-        IPSA_RETURN_IF_ERROR(cur_.Expect("{"));
-        while (!cur_.TryConsume("}")) {
-          Rp4KeyField kf;
-          IPSA_ASSIGN_OR_RETURN(kf.field, ParseFieldRef());
-          IPSA_RETURN_IF_ERROR(cur_.Expect(":"));
-          IPSA_ASSIGN_OR_RETURN(kf.match_type, cur_.ExpectIdent());
-          IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-          table.key.push_back(std::move(kf));
-        }
-        cur_.TryConsume(";");
-      } else if (cur_.TryConsume("size")) {
-        IPSA_RETURN_IF_ERROR(cur_.Expect("="));
-        IPSA_ASSIGN_OR_RETURN(uint64_t size, cur_.ExpectNumber());
-        table.size = static_cast<uint32_t>(size);
-        IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      } else if (cur_.TryConsume("actions")) {
-        IPSA_RETURN_IF_ERROR(cur_.Expect("="));
-        IPSA_RETURN_IF_ERROR(cur_.Expect("{"));
-        while (!cur_.TryConsume("}")) {
-          IPSA_ASSIGN_OR_RETURN(std::string name, cur_.ExpectIdent());
-          table.actions.push_back(std::move(name));
-          cur_.TryConsume(";");
-          cur_.TryConsume(",");
-        }
-        cur_.TryConsume(";");
-      } else if (cur_.TryConsume("default_action")) {
-        IPSA_RETURN_IF_ERROR(cur_.Expect("="));
-        IPSA_ASSIGN_OR_RETURN(table.default_action, cur_.ExpectIdent());
-        IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      } else {
-        return cur_.ErrorHere("unexpected token in table body");
-      }
-    }
-    prog_.tables.push_back(std::move(table));
     return OkStatus();
   }
 
@@ -416,307 +274,19 @@ class Parser {
     return OkStatus();
   }
 
-  // --- statements ------------------------------------------------------
-
-  // Parses statements until the closing '}' (consumed).
-  Result<std::vector<ActionOp>> ParseStatements() {
-    std::vector<ActionOp> ops;
-    while (!cur_.TryConsume("}")) {
-      IPSA_ASSIGN_OR_RETURN(ActionOp op, ParseStatement());
-      ops.push_back(std::move(op));
-    }
-    return ops;
-  }
-
-  Result<ActionOp> ParseStatement() {
-    if (stmt_depth_ >= kMaxNesting) {
-      return cur_.ErrorHere("statement nesting too deep");
-    }
-    NestingGuard guard(stmt_depth_);
-    const Token& t = cur_.Peek();
-    if (t.IsIdent("if")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr cond, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect("{"));
-      IPSA_ASSIGN_OR_RETURN(std::vector<ActionOp> then_ops, ParseStatements());
-      std::vector<ActionOp> else_ops;
-      if (cur_.TryConsume("else")) {
-        IPSA_RETURN_IF_ERROR(cur_.Expect("{"));
-        IPSA_ASSIGN_OR_RETURN(else_ops, ParseStatements());
-      }
-      return ActionOp::If(std::move(cond), std::move(then_ops),
-                          std::move(else_ops));
-    }
-    if (t.IsIdent("drop")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(ExpectCallNoArgs());
-      return ActionOp::Drop();
-    }
-    if (t.IsIdent("mark")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(ExpectCallNoArgs());
-      return ActionOp::Mark();
-    }
-    if (t.IsIdent("no_op") || t.IsIdent("NoAction")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(ExpectCallNoArgs());
-      return ActionOp::Noop();
-    }
-    if (t.IsIdent("forward")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr port, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      return ActionOp::Forward(std::move(port));
-    }
-    if (t.IsIdent("push_header")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(std::string header, cur_.ExpectIdent());
-      std::string after;
-      ExprPtr size;
-      if (cur_.TryConsume(",")) {
-        IPSA_ASSIGN_OR_RETURN(after, cur_.ExpectIdent());
-        if (cur_.TryConsume(",")) {
-          IPSA_ASSIGN_OR_RETURN(size, ParseExpr());
-        }
-      }
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      return ActionOp::PushHeader(std::move(header), std::move(after),
-                                  std::move(size));
-    }
-    if (t.IsIdent("pop_header")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(std::string header, cur_.ExpectIdent());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      return ActionOp::PopHeader(std::move(header));
-    }
-    if (t.IsIdent("update_checksum")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(std::string instance, cur_.ExpectIdent());
-      std::string field = "hdr_checksum";
-      if (cur_.TryConsume(",")) {
-        IPSA_ASSIGN_OR_RETURN(field, cur_.ExpectIdent());
-      }
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      return ActionOp::UpdateChecksum(std::move(instance), std::move(field));
-    }
-    if (t.IsIdent("set_raw")) {
-      cur_.Next();
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(std::string instance, cur_.ExpectIdent());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr offset, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-      IPSA_ASSIGN_OR_RETURN(uint64_t width, cur_.ExpectNumber());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr value, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      return ActionOp::AssignRaw(std::move(instance), std::move(offset),
-                                 static_cast<uint32_t>(width),
-                                 std::move(value));
-    }
-    // Assignment: `scope.field = expr;` or `reg[index] = expr;`.
-    if (t.kind == TokKind::kIdent) {
-      IPSA_ASSIGN_OR_RETURN(std::string first, cur_.ExpectIdent());
-      if (cur_.TryConsume("[")) {
-        if (register_names_.count(first) == 0) {
-          return cur_.ErrorHere("'" + first + "' is not a register");
-        }
-        IPSA_ASSIGN_OR_RETURN(ExprPtr index, ParseExpr());
-        IPSA_RETURN_IF_ERROR(cur_.Expect("]"));
-        IPSA_RETURN_IF_ERROR(cur_.Expect("="));
-        IPSA_ASSIGN_OR_RETURN(ExprPtr value, ParseExpr());
-        IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-        return ActionOp::RegWrite(std::move(first), std::move(index),
-                                  std::move(value));
-      }
-      IPSA_RETURN_IF_ERROR(cur_.Expect("."));
-      IPSA_ASSIGN_OR_RETURN(std::string field, cur_.ExpectIdent());
-      FieldRef dest = MakeFieldRef(first, field);
-      IPSA_RETURN_IF_ERROR(cur_.Expect("="));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr value, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(";"));
-      return ActionOp::Assign(std::move(dest), std::move(value));
-    }
-    return cur_.ErrorHere("expected statement");
-  }
-
-  Status ExpectCallNoArgs() {
-    IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-    IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-    return cur_.Expect(";");
-  }
-
-  // --- expressions -----------------------------------------------------
-
-  FieldRef MakeFieldRef(const std::string& scope, const std::string& field) {
-    if (scope == "meta" || struct_aliases_.count(scope) > 0) {
-      return FieldRef::Meta(field);
-    }
-    return FieldRef::Header(scope, field);
-  }
-
-  Result<arch::FieldRef> ParseFieldRef() {
-    IPSA_ASSIGN_OR_RETURN(std::string scope, cur_.ExpectIdent());
-    IPSA_RETURN_IF_ERROR(cur_.Expect("."));
-    IPSA_ASSIGN_OR_RETURN(std::string field, cur_.ExpectIdent());
-    return MakeFieldRef(scope, field);
-  }
-
-  // Precedence-climbing expression parser.
-  Result<ExprPtr> ParseExpr() {
-    if (expr_depth_ >= kMaxNesting) {
-      return cur_.ErrorHere("expression nesting too deep");
-    }
-    NestingGuard guard(expr_depth_);
-    return ParseBinary(0);
-  }
-
-  struct Level {
-    std::string_view token;
-    Expr::Op op;
-  };
-
-  // Levels from loosest to tightest binding.
-  Result<ExprPtr> ParseBinary(int level) {
-    static const std::vector<std::vector<Level>> kLevels = {
-        {{"||", Expr::Op::kOr}},
-        {{"&&", Expr::Op::kAnd}},
-        {{"|", Expr::Op::kBitOr}},
-        {{"^", Expr::Op::kBitXor}},
-        {{"&", Expr::Op::kBitAnd}},
-        {{"==", Expr::Op::kEq}, {"!=", Expr::Op::kNe}},
-        {{"<", Expr::Op::kLt},
-         {"<=", Expr::Op::kLe},
-         {">", Expr::Op::kGt},
-         {">=", Expr::Op::kGe}},
-        {{"<<", Expr::Op::kShl}, {">>", Expr::Op::kShr}},
-        {{"+", Expr::Op::kAdd}, {"-", Expr::Op::kSub}},
-        {{"*", Expr::Op::kMul}},
-    };
-    if (level >= static_cast<int>(kLevels.size())) return ParseUnary();
-    IPSA_ASSIGN_OR_RETURN(ExprPtr lhs, ParseBinary(level + 1));
-    while (true) {
-      bool matched = false;
-      for (const Level& l : kLevels[static_cast<size_t>(level)]) {
-        if (cur_.Peek().kind == TokKind::kPunct && cur_.Peek().Is(l.token)) {
-          cur_.Next();
-          IPSA_ASSIGN_OR_RETURN(ExprPtr rhs, ParseBinary(level + 1));
-          lhs = Expr::Binary(l.op, std::move(lhs), std::move(rhs));
-          matched = true;
-          break;
-        }
-      }
-      if (!matched) break;
-    }
-    return lhs;
-  }
-
-  Result<ExprPtr> ParseUnary() {
-    if (cur_.TryConsume("!")) {
-      IPSA_ASSIGN_OR_RETURN(ExprPtr a, ParseUnary());
-      return Expr::Unary(Expr::Op::kNot, std::move(a));
-    }
-    if (cur_.TryConsume("~")) {
-      IPSA_ASSIGN_OR_RETURN(ExprPtr a, ParseUnary());
-      return Expr::Unary(Expr::Op::kBitNot, std::move(a));
-    }
-    return ParsePrimary();
-  }
-
-  Result<ExprPtr> ParsePrimary() {
-    const Token& t = cur_.Peek();
-    if (t.kind == TokKind::kNumber) {
-      cur_.Next();
-      return Expr::ConstU(t.number);
-    }
-    if (cur_.TryConsume("(")) {
-      IPSA_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      return e;
-    }
-    if (t.kind != TokKind::kIdent) {
-      return cur_.ErrorHere("expected expression");
-    }
-    IPSA_ASSIGN_OR_RETURN(std::string first, cur_.ExpectIdent());
-    if (first == "true") return Expr::ConstU(1, 1);
-    if (first == "false") return Expr::ConstU(0, 1);
-    if (first == "get_raw") {
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(std::string instance, cur_.ExpectIdent());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr offset, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-      IPSA_ASSIGN_OR_RETURN(uint64_t width, cur_.ExpectNumber());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      return Expr::Raw(std::move(instance), std::move(offset),
-                       static_cast<uint32_t>(width));
-    }
-    if (first == "sat_add" || first == "fxp_quantize" ||
-        first == "fxp_dequantize") {
-      Expr::Op op = first == "sat_add"        ? Expr::Op::kSatAdd
-                    : first == "fxp_quantize" ? Expr::Op::kFxpQuantize
-                                              : Expr::Op::kFxpDequantize;
-      IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr a, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(","));
-      IPSA_ASSIGN_OR_RETURN(ExprPtr b, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-      return Expr::Binary(op, std::move(a), std::move(b));
-    }
-    if (cur_.TryConsume(".")) {
-      IPSA_ASSIGN_OR_RETURN(std::string second, cur_.ExpectIdent());
-      if (second == "isValid") {
-        IPSA_RETURN_IF_ERROR(cur_.Expect("("));
-        IPSA_RETURN_IF_ERROR(cur_.Expect(")"));
-        return Expr::IsValid(std::move(first));
-      }
-      return Expr::Field(MakeFieldRef(first, second));
-    }
-    if (cur_.TryConsume("[")) {
-      if (register_names_.count(first) == 0) {
-        return cur_.ErrorHere("'" + first + "' is not a register");
-      }
-      IPSA_ASSIGN_OR_RETURN(ExprPtr index, ParseExpr());
-      IPSA_RETURN_IF_ERROR(cur_.Expect("]"));
-      return Expr::Register(std::move(first), std::move(index));
-    }
-    if (param_names_.count(first) > 0) {
-      return Expr::Param(std::move(first));
-    }
-    return cur_.ErrorHere("unknown identifier '" + first + "' in expression");
-  }
-
-  TokenCursor cur_;
   Rp4Program prog_;
-  int expr_depth_ = 0;
-  int stmt_depth_ = 0;
-  bool snippet_ = false;
-  std::set<std::string> param_names_;
-  std::set<std::string> register_names_;
-  std::set<std::string> struct_aliases_;
 };
 
 }  // namespace
 
 Result<Rp4Program> ParseRp4(std::string_view source) {
   IPSA_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
-  return Parser(TokenCursor(std::move(tokens))).ParseProgram(false);
+  return Parser(std::move(tokens)).ParseProgram(false);
 }
 
 Result<Rp4Program> ParseRp4Snippet(std::string_view source) {
   IPSA_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
-  return Parser(TokenCursor(std::move(tokens))).ParseProgram(true);
+  return Parser(std::move(tokens)).ParseProgram(true);
 }
 
 }  // namespace ipsa::rp4

@@ -386,6 +386,68 @@ TEST(FrontEndHardeningTest, Rp4HugeWidthFieldRejected) {
   ExpectRp4Error(Rp4Scaffold("999999999", "meta.m = 1;"), "width");
 }
 
+// One width check covers every `bit<N>` and every get_raw/set_raw width in
+// both front ends. 4294967312 is 2^32 + 16: a bare uint32 cast would have
+// read it as 16.
+const char* const kBadWidths[] = {"0", "4097", "4294967312"};
+
+TEST(FrontEndHardeningTest, P4liteActionParamWidthRejected) {
+  for (const char* w : kBadWidths) {
+    ExpectP4liteError(P4liteScaffold("meta.m = 1;", "t.apply();", "8",
+                                     std::string("bit<") + w + "> x"),
+                      "width");
+  }
+}
+
+TEST(FrontEndHardeningTest, P4liteRawWidthRejected) {
+  for (const char* w : kBadWidths) {
+    ExpectP4liteError(
+        P4liteScaffold(std::string("meta.m = get_raw(hdr.h, 0, ") + w + ");",
+                       "t.apply();", "8"),
+        "width");
+    ExpectP4liteError(
+        P4liteScaffold(std::string("set_raw(hdr.h, 0, ") + w + ", 1);",
+                       "t.apply();", "8"),
+        "width");
+  }
+}
+
+TEST(FrontEndHardeningTest, P4liteRegisterWidthRejected) {
+  std::string program = P4liteScaffold("meta.m = 1;", "t.apply();", "8");
+  program.replace(program.find("bit<64>"), 7, "bit<4097>");
+  ExpectP4liteError(program, "width");
+}
+
+TEST(FrontEndHardeningTest, Rp4ActionParamWidthRejected) {
+  for (const char* w : kBadWidths) {
+    ExpectRp4Error(
+        Rp4Scaffold("8", "meta.m = 1;", std::string("bit<") + w + "> x"),
+        "width");
+  }
+}
+
+TEST(FrontEndHardeningTest, Rp4RawWidthRejected) {
+  for (const char* w : kBadWidths) {
+    ExpectRp4Error(
+        Rp4Scaffold("8", std::string("meta.m = get_raw(h, 0, ") + w + ");"),
+        "width");
+    ExpectRp4Error(
+        Rp4Scaffold("8", std::string("set_raw(h, 0, ") + w + ", 1);"),
+        "width");
+  }
+}
+
+TEST(FrontEndHardeningTest, WidthBoundsAreInclusive) {
+  for (const char* w : {"1", "4096"}) {
+    std::string param = std::string("bit<") + w + "> x";
+    std::string raw = std::string("set_raw(h, 0, ") + w + ", 1);";
+    auto hlir = p4lite::ParseP4(P4liteScaffold(raw, "t.apply();", w, param));
+    EXPECT_TRUE(hlir.ok()) << w << ": " << hlir.status().ToString();
+    auto program = rp4::ParseRp4(Rp4Scaffold(w, raw, param));
+    EXPECT_TRUE(program.ok()) << w << ": " << program.status().ToString();
+  }
+}
+
 // --- front-end parity --------------------------------------------------------
 //
 // The P4 and rP4 front ends share one statement/expression language, so an
@@ -403,7 +465,11 @@ const char* const kParityBodies[] = {
     "if (meta.m == 1) { $h.f = 2; } else { meta.m = 3; }",
     "if ($h.isValid()) { forward(p); }",
     "drop();",
+    "mark_to_drop();",
+    "mark_to_drop(standard_metadata);",
     "mark();",
+    "no_op();",
+    "NoAction();",
     "forward(p + 1);",
     "push_header($h);",
     "push_header($h, $h, 4);",
