@@ -2,34 +2,6 @@
 
 namespace ipsa::reactor {
 
-uint64_t DeltaCount(const telemetry::Histogram& cur,
-                    const telemetry::Histogram& prev) {
-  return cur.count >= prev.count ? cur.count - prev.count : cur.count;
-}
-
-uint64_t DeltaPercentile(const telemetry::Histogram& cur,
-                         const telemetry::Histogram& prev, double q) {
-  // Counter reset between the two snapshots: the window is just `cur`.
-  if (cur.count < prev.count) return cur.Percentile(q);
-  uint64_t total = cur.count - prev.count;
-  if (total == 0) return 0;
-  if (q < 0) q = 0;
-  if (q > 1) q = 1;
-  uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(total - 1));
-  uint64_t seen = 0;
-  for (uint32_t i = 0; i < telemetry::kHistogramBuckets; ++i) {
-    uint64_t d = cur.buckets[i] - prev.buckets[i];
-    seen += d;
-    if (seen > rank) {
-      uint64_t bound = telemetry::Histogram::UpperBound(i);
-      // Clamp to the cumulative max: the window's true max is unknown but
-      // can't exceed it (mirrors Histogram::Percentile's clamp).
-      return bound < cur.max ? bound : cur.max;
-    }
-  }
-  return cur.max;
-}
-
 uint64_t SourceWindow::Push(const telemetry::MetricsSnapshot& snap) {
   if (!has_cur_ || snap.seq < cur_.seq) {
     // First snapshot, or the collector restarted: reseed.
@@ -72,11 +44,7 @@ void SourceWindow::Rebuild() {
     w.packets_out = sub(row.metrics.packets_out, p ? p->packets_out : 0);
     w.packets_marked =
         sub(row.metrics.packets_marked, p ? p->packets_marked : 0);
-    w.cycles_cur = row.metrics.cycles;
-    if (p != nullptr && row.metrics.cycles.count >= p->cycles.count) {
-      w.cycles_prev = p->cycles;
-    }
-    ports_[row.port] = std::move(w);
+    ports_[row.port] = w;
   }
 }
 

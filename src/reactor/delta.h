@@ -3,9 +3,7 @@
 // Policies react to *rates*, not lifetime totals: "this port stopped
 // receiving", "that uplink carries 3x its sibling". A SourceWindow keeps the
 // two most recent snapshots from one metric source and exposes the
-// difference — per-port packet deltas and windowed latency percentiles
-// computed by elementwise histogram subtraction (the power-of-two buckets
-// that make shard merge an addition make window extraction a subtraction).
+// difference: per-port packet deltas.
 //
 // Staleness is first-class: every snapshot carries the collector's monotonic
 // `seq`, so a window knows whether the latest poll actually advanced it
@@ -20,30 +18,11 @@
 
 namespace ipsa::reactor {
 
-// Observations recorded in `cur` but not yet in `prev` (prev must be an
-// earlier copy of the same histogram; counters are monotonic between
-// resets).
-uint64_t DeltaCount(const telemetry::Histogram& cur,
-                    const telemetry::Histogram& prev);
-
-// Upper bound of the bucket holding the q-quantile (q in [0,1]) of the
-// delta observations, i.e. the windowed percentile. 0 when the window is
-// empty. Deterministic, like Histogram::Percentile.
-uint64_t DeltaPercentile(const telemetry::Histogram& cur,
-                         const telemetry::Histogram& prev, double q);
-
 // Per-port activity over one window.
 struct PortWindow {
   uint64_t packets_in = 0;
   uint64_t packets_out = 0;
   uint64_t packets_marked = 0;
-  telemetry::Histogram cycles_cur;   // cumulative at window end
-  telemetry::Histogram cycles_prev;  // cumulative at window start
-
-  uint64_t CyclesCount() const { return DeltaCount(cycles_cur, cycles_prev); }
-  uint64_t CyclesPercentile(double q) const {
-    return DeltaPercentile(cycles_cur, cycles_prev, q);
-  }
 };
 
 class SourceWindow {

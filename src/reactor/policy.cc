@@ -9,9 +9,6 @@ std::string Condition::ToString() const {
              (guard_source.empty() ? source : guard_source) + ":" +
              std::to_string(guard_port) +
              " in>=" + std::to_string(min_count) + ")";
-    case ConditionKind::kPortP99Above:
-      return "p99(" + source + ":" + std::to_string(port) + ") > " +
-             std::to_string(threshold) + " cycles";
     case ConditionKind::kPortRateAbove:
       return "in(" + source + ":" + std::to_string(port) +
              ") >= " + std::to_string(threshold);
@@ -37,17 +34,6 @@ Condition PortRateStall(std::string source, uint32_t port,
   c.guard_source = std::move(guard_source);
   c.guard_port = guard_port;
   c.min_count = guard_min;
-  return c;
-}
-
-Condition PortP99Above(std::string source, uint32_t port, uint64_t cycles,
-                       uint64_t min_count) {
-  Condition c;
-  c.kind = ConditionKind::kPortP99Above;
-  c.source = std::move(source);
-  c.port = port;
-  c.threshold = cycles;
-  c.min_count = min_count;
   return c;
 }
 
@@ -106,11 +92,6 @@ bool Evaluate(const Condition& c,
           windows, c.guard_source.empty() ? c.source : c.guard_source);
       if (g == nullptr) return false;
       return w->PortIn(c.port) == 0 && g->PortIn(c.guard_port) >= c.min_count;
-    }
-    case ConditionKind::kPortP99Above: {
-      const PortWindow* p = w->port(c.port);
-      if (p == nullptr || p->CyclesCount() < c.min_count) return false;
-      return p->CyclesPercentile(0.99) > c.threshold;
     }
     case ConditionKind::kPortRateAbove:
       return w->PortIn(c.port) >= c.threshold;

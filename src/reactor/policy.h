@@ -22,9 +22,6 @@ enum class ConditionKind : uint8_t {
   // port that should be active whenever the watched one is — it keeps a
   // merely idle fabric from reading as a failure.
   kPortRateStall = 0,
-  // Windowed p99 of `source`:`port`'s pipeline latency (device cycles)
-  // exceeds `threshold`; at least min_count observations in the window.
-  kPortP99Above = 1,
   // `source`:`port` received at least `threshold` packets this window.
   kPortRateAbove = 2,
   // `source`:`port` received fewer than `threshold` packets this window
@@ -44,7 +41,7 @@ struct Condition {
   std::string guard_source;  // stall/ratio second side ("" = same as source)
   uint32_t port = 0;
   uint32_t guard_port = 0;
-  uint64_t threshold = 0;  // packets or cycles, per kind
+  uint64_t threshold = 0;  // packets
   uint64_t min_count = 1;  // observation floor before the test applies
   double ratio = 0.0;
 
@@ -55,8 +52,6 @@ struct Condition {
 Condition PortRateStall(std::string source, uint32_t port,
                         std::string guard_source, uint32_t guard_port,
                         uint64_t guard_min);
-Condition PortP99Above(std::string source, uint32_t port, uint64_t cycles,
-                       uint64_t min_count = 1);
 Condition PortRateAbove(std::string source, uint32_t port, uint64_t packets);
 Condition PortRateBelow(std::string source, uint32_t port, uint64_t packets);
 Condition PortRateRatioAbove(std::string hot_source, uint32_t hot_port,

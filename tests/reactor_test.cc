@@ -26,7 +26,6 @@ using controller::KeyValue;
 using controller::MacBits;
 using fabric::LeafSpine;
 using fabric::LeafSpineOptions;
-using telemetry::Histogram;
 using telemetry::MetricsSnapshot;
 
 // A routable IPv4 packet under the baseline population (same shape the
@@ -45,27 +44,6 @@ net::Packet V4Packet(uint32_t dst_low, uint16_t sport) {
 }
 
 // --- delta / window units ----------------------------------------------------
-
-TEST(Delta, PercentileOverWindowOnly) {
-  Histogram prev;
-  for (int i = 0; i < 100; ++i) prev.Observe(1);  // old fast observations
-  Histogram cur = prev;
-  for (int i = 0; i < 10; ++i) cur.Observe(1000);  // the window is all slow
-  EXPECT_EQ(DeltaCount(cur, prev), 10u);
-  // Cumulative p99 would still sit in the low bucket; the windowed p99 must
-  // see only the slow packets.
-  EXPECT_LE(prev.Percentile(0.99), 1u);
-  EXPECT_GE(DeltaPercentile(cur, prev, 0.99), 1000u);
-  EXPECT_EQ(DeltaPercentile(cur, prev, 0.0),
-            DeltaPercentile(cur, prev, 1.0));
-}
-
-TEST(Delta, EmptyWindowIsZero) {
-  Histogram h;
-  h.Observe(7);
-  EXPECT_EQ(DeltaCount(h, h), 0u);
-  EXPECT_EQ(DeltaPercentile(h, h, 0.99), 0u);
-}
 
 MetricsSnapshot Snap(uint64_t seq, uint64_t in0, uint64_t out0,
                      uint64_t in1 = 0, uint64_t out1 = 0) {
@@ -166,31 +144,6 @@ TEST(Condition, RatioAndStalenessGate) {
   // A stale window holds all fire.
   ws["dev"].MarkStale();
   EXPECT_FALSE(Evaluate(PortRateRatioAbove("dev", 0, "dev", 1, 2.0), ws));
-}
-
-TEST(Condition, P99AboveReadsTheWindowNotTheTotal) {
-  MetricsSnapshot a;
-  a.seq = 1;
-  telemetry::PortRow row;
-  row.port = 0;
-  for (int i = 0; i < 100; ++i) {
-    row.metrics.cycles.Observe(4);
-    ++row.metrics.packets_in;
-    ++row.metrics.packets_out;
-  }
-  a.ports.push_back(row);
-  MetricsSnapshot b = a;
-  b.seq = 2;
-  for (int i = 0; i < 10; ++i) {
-    b.ports[0].metrics.cycles.Observe(5000);
-    ++b.ports[0].metrics.packets_in;
-    ++b.ports[0].metrics.packets_out;
-  }
-  auto ws = OneWindow(a, b);
-  EXPECT_TRUE(Evaluate(PortP99Above("dev", 0, 1000), ws));
-  EXPECT_FALSE(Evaluate(PortP99Above("dev", 0, 1000000), ws));
-  Condition c = PortP99Above("dev", 0, 1000, /*min_count=*/11);
-  EXPECT_FALSE(Evaluate(c, ws)) << "observation floor not met";
 }
 
 // --- plans and the malleable boundary ---------------------------------------
