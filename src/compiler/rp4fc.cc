@@ -138,9 +138,7 @@ Result<Rp4fcResult> RunRp4fc(const p4lite::Hlir& hlir) {
     prog.structs.push_back(std::move(meta));
   }
 
-  for (const auto& [name, size] : hlir.registers) {
-    prog.registers.push_back(rp4::Rp4RegisterDecl{name, size, 64});
-  }
+  for (const auto& r : hlir.registers) prog.registers.push_back(r);
 
   // Actions from both controls.
   for (const auto& a : hlir.ingress.actions) prog.actions.push_back(a);

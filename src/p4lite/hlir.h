@@ -58,7 +58,7 @@ struct Hlir {
   // Instance name -> type name (from the headers struct).
   std::vector<std::pair<std::string, std::string>> header_instances;
   std::vector<std::pair<std::string, uint32_t>> metadata;  // name, width
-  std::vector<std::pair<std::string, uint32_t>> registers;  // name, size
+  std::vector<rp4::Rp4RegisterDecl> registers;
   std::vector<HlirParseState> parse_states;
   std::string start_state = "start";
   HlirControl ingress;

@@ -30,7 +30,7 @@ class Parser : public rp4::ActionParser {
         IPSA_RETURN_IF_ERROR(ParseStruct());
       } else if (t.IsIdent("register")) {
         IPSA_ASSIGN_OR_RETURN(rp4::Rp4RegisterDecl reg, ParseRegister());
-        hlir_.registers.emplace_back(std::move(reg.name), reg.size);
+        hlir_.registers.push_back(std::move(reg));
       } else if (t.IsIdent("parser")) {
         IPSA_RETURN_IF_ERROR(ParseParser());
       } else if (t.IsIdent("control")) {

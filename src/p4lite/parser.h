@@ -8,10 +8,10 @@
 //   parser <name>(...) { state ... }             (extract + select/transition)
 //   control <name>(...) { action... table... apply {...} }
 //
-// The first control is ingress, the second (if present) egress. Statements
-// and expressions share the rP4 surface (drop(), mark(), forward(e),
-// push_header, pop_header, set_raw/get_raw, if/else, assignment).
-// Field references are `hdr.<instance>.<field>`, `meta.<field>`, or
+// The first control is ingress, the second (if present) egress. Fields,
+// actions, tables, registers, statements and expressions are the grammar
+// shared with rP4 (rp4/action_parser.h), in the P4 dialect: field references
+// are `hdr.<instance>.<field>` (or `<instance>.<field>`), `meta.<field>`, or
 // `standard_metadata.<field>`.
 #pragma once
 

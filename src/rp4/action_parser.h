@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <set>
 #include <string>
@@ -58,6 +59,7 @@ class ActionParser {
   static constexpr uint64_t kMaxWidth = 4096;
 
  protected:
+  // `header_prefix` is kept as a view; the front ends pass a literal.
   ActionParser(std::vector<Token> tokens, std::string_view header_prefix,
                std::initializer_list<std::string_view> metadata_scopes);
 

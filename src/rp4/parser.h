@@ -23,7 +23,8 @@
 //                     'executor' '{' (tag ':' action ';')* '}' '}'
 //   func         := 'func' name '{' stage-name* '}'
 //
-// Statements and expressions are C-like; see ParseStatement/ParseExpr.
+// Fields, actions, tables, registers, statements and expressions are the
+// grammar shared with the P4 front end; see rp4/action_parser.h.
 #pragma once
 
 #include <string_view>

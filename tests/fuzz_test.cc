@@ -491,7 +491,7 @@ const char* const kParityBodies[] = {
     "meta.m = 8w255;",
 };
 
-std::string Dialect(std::string body, const std::string& prefix) {
+std::string WithHeaderPrefix(std::string body, const std::string& prefix) {
   for (size_t at = body.find('$'); at != std::string::npos;
        at = body.find('$', at + prefix.size())) {
     body.replace(at, 1, prefix);
@@ -515,10 +515,10 @@ std::string PrintedRp4Action(const std::string& body) {
 
 TEST(FrontEndParityTest, EveryActionFormParsesTheSameThroughBothFrontEnds) {
   for (const char* body : kParityBodies) {
-    std::string rp4 = PrintedRp4Action(Dialect(body, ""));
+    std::string rp4 = PrintedRp4Action(WithHeaderPrefix(body, ""));
     EXPECT_EQ(rp4.find("error"), std::string::npos) << body << "\n" << rp4;
-    EXPECT_EQ(PrintedP4Action(Dialect(body, "")), rp4) << body;
-    EXPECT_EQ(PrintedP4Action(Dialect(body, "hdr.")), rp4) << body;
+    EXPECT_EQ(PrintedP4Action(WithHeaderPrefix(body, "")), rp4) << body;
+    EXPECT_EQ(PrintedP4Action(WithHeaderPrefix(body, "hdr.")), rp4) << body;
   }
 }
 

@@ -67,8 +67,9 @@ TEST(P4ParserTest, ProbeVariantHasRegister) {
   auto hlir = ParseP4(controller::designs::BasePlusProbeP4());
   ASSERT_TRUE(hlir.ok()) << hlir.status().ToString();
   ASSERT_EQ(hlir->registers.size(), 1u);
-  EXPECT_EQ(hlir->registers[0].first, "probe_cnt");
-  EXPECT_EQ(hlir->registers[0].second, 1024u);
+  EXPECT_EQ(hlir->registers[0].name, "probe_cnt");
+  EXPECT_EQ(hlir->registers[0].size, 1024u);
+  EXPECT_EQ(hlir->registers[0].width_bits, 64u);
 }
 
 TEST(P4ParserTest, ApplyTreeShape) {
