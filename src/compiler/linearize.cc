@@ -24,7 +24,7 @@ ExprPtr Conjoin(const ExprPtr& a, const ExprPtr& b) {
 }
 
 const rp4::Rp4TableDecl* FindTable(const HlirControl& control,
-                           std::string_view name) {
+                                   std::string_view name) {
   for (const auto& t : control.tables) {
     if (t.name == name) return &t;
   }

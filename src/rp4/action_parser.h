@@ -76,11 +76,7 @@ class ActionParser {
   // 'varsize' '(' len-field ',' add ',' mult ')' ';'
   Result<Rp4VarSizeDecl> ParseVarSize();
 
-  // Statements up to and including the closing '}'.
-  Result<std::vector<arch::ActionOp>> ParseStatements();
-  Result<arch::ActionOp> ParseStatement();
   Result<arch::ExprPtr> ParseExpr();
-  Result<arch::FieldRef> ParseFieldRef();
 
   struct NestingGuard {
     explicit NestingGuard(int& depth) : depth_(depth) { ++depth_; }
@@ -92,6 +88,10 @@ class ActionParser {
   int stmt_depth_ = 0;
 
  private:
+  // Statements up to and including the closing '}'.
+  Result<std::vector<arch::ActionOp>> ParseStatements();
+  Result<arch::ActionOp> ParseStatement();
+  Result<arch::FieldRef> ParseFieldRef();
   // A width literal, checked against [1, kMaxWidth].
   Result<uint32_t> ExpectWidth();
   Result<uint32_t> ParseBitType();
